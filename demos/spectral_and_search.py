@@ -2,9 +2,9 @@
 """Lower bounds versus exact optima on small showcase graphs.
 
 The eigenvalue bound max(n+, n-/(r-1)) plus the log2 covering bound are
-computed exactly (rational congruence elimination, no floating point), then
-the exact solver closes each case with a verified witness.  The Petersen
-graph is the classic near-miss: bound 5, optimum 6.
+computed exactly (fraction-free integer (Bareiss) congruence elimination, no
+floating point), then the exact solver closes each case with a verified
+witness.  The Petersen graph is the classic near-miss: bound 5, optimum 6.
 """
 
 import time

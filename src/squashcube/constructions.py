@@ -342,5 +342,10 @@ def random_partition(g, k, cover=None):
             "partition failed verification although all preconditions held; "
             "please report this graph"
         )
-    assert len(pieces) <= n - k + ceil_two_sqrt(k) + 1
+    if len(pieces) > n - k + ceil_two_sqrt(k) + 1:
+        raise AssertionError(
+            f"partition has {len(pieces)} pieces, more than the "
+            f"n - k + ceil(2*sqrt(k)) + 1 = {n - k + ceil_two_sqrt(k) + 1} bound; "
+            "please report this graph"
+        )
     return pieces

@@ -171,27 +171,42 @@ def is_connected(g):
 
 
 def bfs_distances(g):
-    """All-pairs shortest path matrix (int32).  Raises on disconnected input."""
+    """All-pairs shortest path matrix (int32).  Raises on disconnected input.
+
+    Level-synchronous BFS on neighbour bitmasks: each level ORs the masks of
+    the frontier and keeps the bits not yet seen.
+    """
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no distance matrix")
-    dist = np.full((n, n), -1, dtype=np.int32)
+    masks = [sum(1 << v for v in g.adj[u]) for u in range(n)]
+    everyone = (1 << n) - 1
+    rows = []
     for src in range(n):
-        row = dist[src]
+        row = [-1] * n
         row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u] + 1
-            for v in g.adj[u]:
-                if row[v] < 0:
-                    row[v] = du
-                    queue.append(v)
-        if src == 0:
-            unreachable = np.flatnonzero(row < 0)
-            if unreachable.size:
-                raise DisconnectedGraphError(0, int(unreachable[0]))
-    return dist
+        seen = 1 << src
+        frontier = [src]
+        level = 0
+        while frontier and seen != everyone:
+            level += 1
+            reach = 0
+            for u in frontier:
+                reach |= masks[u]
+            new = reach & ~seen
+            seen |= new
+            frontier = []
+            while new:
+                low = new & -new
+                v = low.bit_length() - 1
+                row[v] = level
+                frontier.append(v)
+                new ^= low
+        if seen != everyone:
+            missing = everyone & ~seen
+            raise DisconnectedGraphError(src, (missing & -missing).bit_length() - 1)
+        rows.append(row)
+    return np.array(rows, dtype=np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +353,6 @@ def automorphisms(g, cap=AUTOMORPHISM_CAP):
 
     extend(0)
     return found
-
-
-def orbit(perms, v):
-    """Orbit of vertex v under a list of permutations."""
-    return sorted({p[v] for p in perms})
-
-
-def stabilizer(perms, v):
-    """Permutations in the list fixing vertex v."""
-    return [p for p in perms if p[v] == v]
 
 
 # ---------------------------------------------------------------------------

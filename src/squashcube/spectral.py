@@ -1,16 +1,29 @@
 """Exact inertia of symmetric integer matrices and the addressing lower bounds.
 
-Inertia is computed by symmetric congruence elimination over rationals:
-1x1 pivots on nonzero diagonal entries, and a 2x2 block pivot [0 d; d 0]
-(contributing one positive and one negative eigenvalue) when the remaining
-diagonal is all zero.  Congruence preserves inertia, so counting pivot signs
-is exact -- no floating point, no eigenvalues.  Distance matrices have zero
-diagonal, so the 2x2 pivot is the first move, not a fallback.
+Inertia is computed by symmetric congruence elimination in fraction-free
+integer arithmetic (Bareiss's integer-preserving elimination): 1x1 pivots on
+the first nonzero diagonal entry, and a 2x2 block pivot [0 d; d 0]
+(contributing one positive and one negative eigenvalue) on the first nonzero
+off-diagonal pair when the remaining diagonal is all zero.  Congruence
+preserves inertia, so counting pivot signs is exact -- no floating point, no
+eigenvalues.  Distance matrices have zero diagonal, so the 2x2 pivot is the
+first move, not a fallback.
+
+With K the set of eliminated indices, the active matrix holds the bordered
+minors M_ij = det A[K+i, K+j] and D = det A[K, K] (signed; 1 while K is
+empty).  M / D is the Schur complement of A[K, K], so a 1x1 pivot a = M_pp is
+positive exactly when sign(a) == sign(D).  The updates
+
+    1x1 pivot a:        M_ij <- (a M_ij - M_ip M_pj) / D,                D <- a
+    2x2 pivot d = M_pq: M_ij <- (-d^2 M_ij + d (M_ip M_qj + M_iq M_pj)) / D^2,
+                        D <- -d^2 / D
+
+keep every entry a minor of A, so by Sylvester's identity each division is
+exact; a nonzero remainder is reported as a self-check failure.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .addressing import verify_addressing
 
@@ -26,8 +39,8 @@ class Inertia:
         return self.n_plus + self.n_zero + self.n_minus
 
 
-def _as_fraction_rows(matrix):
-    rows = [[Fraction(int(x)) for x in row] for row in matrix]
+def _as_int_rows(matrix):
+    rows = [[int(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -38,52 +51,73 @@ def _as_fraction_rows(matrix):
     return rows
 
 
+def _exact_quotients(numerators, divisor):
+    out = []
+    for x in numerators:
+        q, rem = divmod(x, divisor)
+        if rem:
+            raise AssertionError(
+                "inexact division in fraction-free elimination; "
+                "please report this matrix"
+            )
+        out.append(q)
+    return out
+
+
 def inertia(matrix):
     """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix."""
-    m = _as_fraction_rows(matrix)
-    active = list(range(len(m)))
+    m = _as_int_rows(matrix)
     n_plus = n_zero = n_minus = 0
+    det = 1
 
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is not None:
-            d = m[pivot][pivot]
-            if d > 0:
+    # Each step removes the pivot rows and columns from m, then rebuilds row
+    # i from column i on and mirrors columns < i from the rows already done.
+    while m:
+        p = next((i for i, row in enumerate(m) if row[i]), None)
+        if p is not None:
+            a = m[p][p]
+            if (a > 0) == (det > 0):
                 n_plus += 1
             else:
                 n_minus += 1
-            active.remove(pivot)
-            for i in active:
-                f = m[i][pivot] / d
-                if f:
-                    for j in active:
-                        m[i][j] -= f * m[pivot][j]
+            prow = m.pop(p)
+            del prow[p]
+            for i, row in enumerate(m):
+                f = row.pop(p)
+                m[i] = [m[j][i] for j in range(i)] + _exact_quotients(
+                    [a * x - f * y for x, y in zip(row[i:], prow[i:])], det
+                )
+            det = a
             continue
 
         block = next(
-            (
-                (i, j)
-                for ai, i in enumerate(active)
-                for j in active[ai + 1:]
-                if m[i][j] != 0
-            ),
+            ((i, j) for i, row in enumerate(m) for j in range(i + 1, len(row)) if row[j]),
             None,
         )
         if block is None:
-            n_zero += len(active)
+            n_zero += len(m)
             break
         p, q = block
         d = m[p][q]
         n_plus += 1
         n_minus += 1
-        active.remove(p)
-        active.remove(q)
-        for i in active:
-            fp = m[i][p] / d
-            fq = m[i][q] / d
-            if fp or fq:
-                for j in active:
-                    m[i][j] -= fp * m[q][j] + fq * m[p][j]
+        qrow = m.pop(q)
+        prow = m.pop(p)
+        for row in (prow, qrow):
+            del row[q]
+            del row[p]
+        det_sq = det * det
+        for i, row in enumerate(m):
+            fq = row.pop(q)
+            fp = row.pop(p)
+            m[i] = [m[j][i] for j in range(i)] + _exact_quotients(
+                [
+                    d * (fp * yq + fq * yp - d * x)
+                    for x, yp, yq in zip(row[i:], prow[i:], qrow[i:])
+                ],
+                det_sq,
+            )
+        [det] = _exact_quotients([-d * d], det)
 
     return Inertia(n_plus, n_zero, n_minus)
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -150,6 +151,44 @@ def test_bfs_disconnected_names_a_pair():
         bfs_distances(Graph(4, [(0, 1), (2, 3)]))
     u, v = exc.value.pair
     assert u in (0, 1) and v in (2, 3)
+
+
+def test_bfs_disconnected_pair_is_vertex_0_and_smallest_unreachable():
+    cases = [
+        (Graph(4, [(0, 1), (2, 3)]), 2),
+        (Graph(6, [(0, 3), (3, 5), (1, 2), (2, 4)]), 1),
+        (Graph(70, [(i, i + 1) for i in range(68)]), 69),
+        (Graph(3), 1),
+    ]
+    for g, missing in cases:
+        with pytest.raises(DisconnectedGraphError) as exc:
+            bfs_distances(g)
+        assert exc.value.pair == (0, missing)
+
+
+def _random_connected_edges(rng, n, p):
+    """A random spanning tree plus each other pair with probability p."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    edges.update(pair for pair in itertools.combinations(range(n), 2) if rng.random() < p)
+    return sorted(edges)
+
+
+def test_bfs_matches_independent_bfs():
+    rng = random.Random(2024)
+    cases = [(1, [])]
+    for p in (0.0, 0.05, 0.2, 0.5, 0.9):
+        for n in (2, 9, 33, 64, 65, 90):
+            cases.append((n, _random_connected_edges(rng, n, p)))
+    for n in (2, 3, 63, 64, 65, 128, 200):
+        cases.append((n, path_graph(n).edges))
+        if n >= 3:
+            cases.append((n, cycle_graph(n).edges))
+    for n, edges in cases:
+        d = bfs_distances(Graph(n, edges))
+        assert d.dtype == np.int32
+        assert d.tolist() == simple_bfs_all_pairs(n, edges), (n, len(edges))
 
 
 def test_bfs_triangle_inequality():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,39 @@ def test_inertia_congruence_invariance():
             if i != j:
                 p[i] += p[j] * int(rng.integers(-2, 3))
         assert inertia(p.T @ d @ p) == inertia(d)
+
+
+def _random_symmetric(rng, n, mode):
+    a = rng.integers(-3, 4, (n, n))
+    a = np.triu(a) + np.triu(a, 1).T
+    if mode == 1:     # zero diagonal: 2x2 pivots first
+        np.fill_diagonal(a, 0)
+    elif mode == 2:   # negative diagonal, zero leading entry
+        np.fill_diagonal(a, -rng.integers(1, 4, n))
+        a[0, 0] = 0
+    elif mode == 3:   # low rank: zero pivots once the rank is used up
+        b = rng.integers(-2, 3, (n, int(rng.integers(1, n + 1))))
+        a = b @ np.diag(rng.choice([-2, -1, 0, 1, 2], b.shape[1])) @ b.T
+    elif mode == 4:   # repeated row and column: a singular leading block
+        a[1], a[:, 1] = a[0], a[:, 0]
+    return a
+
+
+def test_inertia_matches_sturm_oracle_on_random_symmetric_matrices():
+    rng = np.random.default_rng(5)
+    for trial in range(250):
+        n = int(rng.integers(2, 9))
+        a = _random_symmetric(rng, n, trial % 5)
+        ine = inertia(a)
+        assert sturm_inertia(a) == (ine.n_plus, ine.n_zero, ine.n_minus), a.tolist()
+
+
+def test_inertia_johnson_distance_matrices():
+    from squashcube.graphs import johnson_graph
+
+    for n, k in ((6, 3), (7, 3), (8, 4), (7, 2)):
+        ine = inertia(bfs_distances(johnson_graph(n, k)))
+        assert ine == Inertia(1, math.comb(n, k) - n, n - 1)
 
 
 def test_lower_bound_petersen():
