@@ -20,13 +20,21 @@ from squashcube import (
 )
 from squashcube.addressing import Addressing
 from squashcube.constructions import append_merge_column, blow_up, plus_three
-from squashcube.fixtures import MULTIPARTITE_SIZES, load_fixture
+from squashcube.fixtures import REGISTRY, load_fixture
+
+
+def class_sizes(name):
+    """[4, 3, 2] from a fixture name like multipartite/k_4_3_2."""
+    return [int(x) for x in name.split("/k_")[1].split("_")]
 
 
 def main():
     print("Bundled 3-partite tables (all optimal):")
-    for name, sizes in MULTIPARTITE_SIZES.items():
+    for name in REGISTRY:
+        if not name.startswith("multipartite/"):
+            continue
         adr, graph = load_fixture(name)
+        sizes = class_sizes(name)
         bad = verify_addressing(bfs_distances(graph), adr)
         print(f"  K_{tuple(sizes)}: length {adr.length}  "
               f"{'VALID' if not bad else 'BROKEN'}")
@@ -45,7 +53,7 @@ def main():
                          ("multipartite/k_3_3_2", (6, 2)),
                          ("multipartite/k_3_2_2", (5, 2))]:
         base, _ = load_fixture(name)
-        sizes = MULTIPARTITE_SIZES[name]
+        sizes = class_sizes(name)
         out = append_merge_column(base, sizes)
         ok = not verify_addressing(bfs_distances(complete_multipartite(list(merged))), out)
         print(f"  K_{tuple(sizes)} + one column -> K_{merged}: length {out.length} "

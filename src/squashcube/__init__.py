@@ -11,7 +11,6 @@ from .addressing import (
     addressing_to_json,
     distance_edge_multiset,
     format_addressing,
-    is_valid_addressing,
     load_addressing,
     parse_addressing,
     partition_edge_multiset,
@@ -40,6 +39,7 @@ from .errors import (
     EmbeddingNotFoundError,
     Graph6ParseError,
     PreconditionError,
+    SelfCheckError,
 )
 from .graphs import (
     Graph,
@@ -68,7 +68,6 @@ from .johnson import (
     good_pairs_characterized,
     johnson_addressing,
     johnson_coordinates,
-    johnson_external_lower_bound,
     matching_f,
     symbol_rule,
     union_graph_h,

@@ -14,6 +14,8 @@ back to one bitplane per digit value.
 import json
 from collections import Counter
 
+from .errors import SelfCheckError
+
 STAR = "*"
 MAX_ALPHABET = 10
 
@@ -54,14 +56,24 @@ def pack_word(word, r):
     return packed
 
 
-def packed_distance(a, b, length, nplanes):
-    """Distance between two packed words of the same length and plane count."""
+def distance_kernel(length, r):
+    """The distance function pdist(a, b) between packed words of one shape.
+
+    Both words must be packed with this length and alphabet size.  A digit
+    differs where some bitplane of a ^ b is set; the distance counts such
+    positions where both care bits are set.
+    """
     mask = (1 << length) - 1
-    diff = a ^ b
-    acc = 0
-    for p in range(1, nplanes + 1):
-        acc |= diff >> (p * length)
-    return (a & b & acc & mask).bit_count()
+    shifts = [p * length for p in range(1, (2 if r <= 4 else r) + 1)]
+
+    def pdist(a, b):
+        d = a ^ b
+        acc = 0
+        for s in shifts:
+            acc |= d >> s
+        return (a & b & acc & mask).bit_count()
+
+    return pdist
 
 
 def unpack_word(packed, length, r):
@@ -79,10 +91,6 @@ def unpack_word(packed, length, r):
             )
             chars.append(chr(48 + d))
     return "".join(chars)
-
-
-def _nplanes(r):
-    return 2 if r <= 4 else r
 
 
 def word_distance(a, b):
@@ -128,11 +136,6 @@ class Addressing:
             self._packed = [pack_word(w, self.r) for w in self.words]
         return self._packed
 
-    def distance(self, u, v):
-        return packed_distance(
-            self.packed()[u], self.packed()[v], self.length, _nplanes(self.r)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Addressing)
@@ -152,20 +155,27 @@ def verify_addressing(dist, adr):
     if adr.n != n:
         raise ValueError(f"addressing covers {adr.n} vertices, matrix has {n}")
     packed = adr.packed()
-    length, planes = adr.length, _nplanes(adr.r)
+    pdist = distance_kernel(adr.length, adr.r)
     violations = []
     for u in range(n):
         pu = packed[u]
         row = dist[u]
         for v in range(u + 1, n):
-            got = packed_distance(pu, packed[v], length, planes)
+            got = pdist(pu, packed[v])
             if got != row[v]:
                 violations.append((u, v, int(row[v]), got))
     return violations
 
 
-def is_valid_addressing(dist, adr):
-    return not verify_addressing(dist, adr)
+def check_addressing(dist, adr, what):
+    """Return adr if it is valid; else raise SelfCheckError naming `what`.
+
+    For results the library built itself, so a violation is a bug.
+    """
+    bad = verify_addressing(dist, adr)
+    if bad:
+        raise SelfCheckError(f"{what} fails verification: {bad[:3]}")
+    return adr
 
 
 # ---------------------------------------------------------------------------

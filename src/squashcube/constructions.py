@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .addressing import (
     Addressing,
     STAR,
+    check_addressing,
     distance_edge_multiset,
     partition_edge_multiset,
     verify_addressing,
@@ -21,6 +22,7 @@ from .errors import (
     DisconnectedGraphError,
     EmbeddingNotFoundError,
     PreconditionError,
+    SelfCheckError,
 )
 from .graphs import Graph, bfs_distances, complete_multipartite, kam_graph, multipartite_classes
 from .johnson import johnson_addressing
@@ -35,10 +37,7 @@ def _require_valid(adr, graph, what):
 
 
 def _checked(adr, graph, what):
-    bad = verify_addressing(bfs_distances(graph), adr)
-    if bad:
-        raise AssertionError(f"internal error: {what} failed verification {bad[:3]}")
-    return adr
+    return check_addressing(bfs_distances(graph), adr, what)
 
 
 def ceil_two_sqrt(k):
@@ -199,7 +198,7 @@ def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
             cover = OneTwoCover(k, tuple(found))
             _check_cover(cover)
             return cover
-    raise AssertionError(f"no one-or-two cover of K_{k} within ceil(2*sqrt(k)) pieces")
+    raise SelfCheckError(f"no one-or-two cover of K_{k} within ceil(2*sqrt(k)) pieces")
 
 
 def _side_assignments(k):
@@ -215,7 +214,7 @@ def _check_cover(cover):
     counts = {}
     for a, b in cover.pieces:
         if set(a) & set(b):
-            raise AssertionError("piece sides overlap")
+            raise SelfCheckError("piece sides overlap")
         for u in a:
             for v in b:
                 key = (min(u, v), max(u, v))
@@ -224,7 +223,7 @@ def _check_cover(cover):
     for i in range(k):
         for j in range(i + 1, k):
             if counts.get((i, j), 0) not in (1, 2):
-                raise AssertionError(f"edge ({i},{j}) covered {counts.get((i, j), 0)} times")
+                raise SelfCheckError(f"edge ({i},{j}) covered {counts.get((i, j), 0)} times")
 
 
 def cover_to_H(cover):
@@ -338,12 +337,12 @@ def random_partition(g, k, cover=None):
             pieces.append([[z], sorted(leaves)])
 
     if partition_edge_multiset(pieces) != distance_edge_multiset(dist):
-        raise AssertionError(
+        raise SelfCheckError(
             "partition failed verification although all preconditions held; "
             "please report this graph"
         )
     if len(pieces) > n - k + ceil_two_sqrt(k) + 1:
-        raise AssertionError(
+        raise SelfCheckError(
             f"partition has {len(pieces)} pieces, more than the "
             f"n - k + ceil(2*sqrt(k)) + 1 = {n - k + ceil_two_sqrt(k) + 1} bound; "
             "please report this graph"

@@ -30,3 +30,10 @@ class PreconditionError(RuntimeError):
 
 class EmbeddingNotFoundError(RuntimeError):
     """No induced copy of the pattern graph exists in the host graph."""
+
+
+class SelfCheckError(RuntimeError):
+    """A result failed the library's own re-verification: a bug, not bad input.
+
+    Deliberately not a ValueError, so it is never reported as a bad input.
+    """

@@ -41,21 +41,6 @@ REGISTRY = {
     "kam/k5m5": lambda: kam_graph(5, 5),
 }
 
-MULTIPARTITE_SIZES = {
-    "multipartite/k_2_2_1": [2, 2, 1],
-    "multipartite/k_3_2_1": [3, 2, 1],
-    "multipartite/k_4_2_1": [4, 2, 1],
-    "multipartite/k_3_3_1": [3, 3, 1],
-    "multipartite/k_4_3_1": [4, 3, 1],
-    "multipartite/k_4_4_1": [4, 4, 1],
-    "multipartite/k_3_2_2": [3, 2, 2],
-    "multipartite/k_3_3_2": [3, 3, 2],
-    "multipartite/k_4_2_2": [4, 2, 2],
-    "multipartite/k_3_3_3": [3, 3, 3],
-    "multipartite/k_4_3_2": [4, 3, 2],
-    "multipartite/k_5_2_2": [5, 2, 2],
-}
-
 
 def fixture_names():
     return sorted(REGISTRY)
@@ -82,7 +67,6 @@ def iter_fixtures():
 
 __all__ = [
     "REGISTRY",
-    "MULTIPARTITE_SIZES",
     "fixture_names",
     "load_fixture",
     "iter_fixtures",

@@ -14,6 +14,7 @@ one coordinate where the two addresses show {0,1}.
 from dataclasses import dataclass
 
 from .addressing import Addressing
+from .errors import SelfCheckError
 from .graphs import johnson_subsets
 
 
@@ -131,7 +132,7 @@ def union_graph_h(s, t, n, k):
             kind = "path"
         else:
             # Lemma-guaranteed impossible: a cycle on more than 2 vertices.
-            raise AssertionError(f"unexpected cycle component {verts} in h(S,T)")
+            raise SelfCheckError(f"unexpected cycle component {verts} in h(S,T)")
         xs = [u for u in verts if u > k]
         ys = [u for u in verts if u <= k]
         stats.append(
@@ -178,10 +179,3 @@ def good_pairs_characterized(s, t, n, k):
                 continue
             out.add((x, y))
     return out
-
-
-def johnson_external_lower_bound(n, k):
-    """Known lower bound N_2(J(n,k)) >= n, quoted from prior work (not derived here)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
-    return n

@@ -28,13 +28,15 @@ from itertools import product
 from typing import Optional
 
 from .addressing import (
+    MAX_ALPHABET,
     STAR,
     Addressing,
+    check_addressing,
+    distance_kernel,
     pack_word,
     unpack_word,
-    verify_addressing,
 )
-from .errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
+from .errors import CapabilityError, SelfCheckError
 from .graphs import Graph, automorphisms, bfs_distances, parse_graph6
 from .spectral import lower_bound
 
@@ -48,8 +50,10 @@ class SearchConfig:
     first_vertices: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.r}")
+        if not 2 <= self.r <= MAX_ALPHABET:
+            raise ValueError(
+                f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.r}"
+            )
 
 
 @dataclass
@@ -116,7 +120,6 @@ class _Searcher:
         g = cfg.graph
         self.n = g.n
         self.r = cfg.r
-        self.nplanes = 2 if cfg.r <= 4 else cfg.r
         dist = bfs_distances(g)
         self.dist = [[int(x) for x in row] for row in dist]
         self.diameter = max(max(row) for row in self.dist) if g.n > 1 else 0
@@ -172,9 +175,9 @@ class _Searcher:
         if self.diameter > length:
             return SearchOutcome(False, None, 0, True)
 
-        r, planes = self.r, self.nplanes
-        mask = (1 << length) - 1
-        shifts = [p * length for p in range(1, planes + 1)]
+        r = self.r
+        care = (1 << length) - 1     # the care bits; their popcount is the weight
+        pdist = distance_kernel(length, r)
         dist = self.dist
         anchors = self.anchors
         nodes = 0
@@ -182,13 +185,6 @@ class _Searcher:
 
         low = _enumerate_half(range(length // 2), length, r)
         high = _enumerate_half(range(length // 2, length), length, r)
-
-        def pdist(a, b):
-            d = a ^ b
-            acc = 0
-            for s in shifts:
-                acc |= d >> s
-            return (a & b & acc & mask).bit_count()
 
         def mitm(constraints):
             buckets = {}
@@ -208,7 +204,7 @@ class _Searcher:
 
         def weight_ok(v, packed):
             bound = floor_of.get(v)
-            return bound is None or (packed & mask).bit_count() >= bound
+            return bound is None or (packed & care).bit_count() >= bound
 
         witness = {}
 
@@ -250,7 +246,7 @@ class _Searcher:
                 pushed = None
                 for idx, members in self.orbit_floors:
                     if anchors[idx] == v:
-                        bound = (cand & mask).bit_count()
+                        bound = (cand & care).bit_count()
                         pushed = [(u, floor_of.get(u)) for u in members]
                         for u in members:
                             floor_of[u] = max(floor_of.get(u, 0), bound)
@@ -304,10 +300,7 @@ class _Searcher:
             return SearchOutcome(False, None, nodes, True)
 
         words = [unpack_word(witness[v], length, r) for v in range(n)]
-        adr = Addressing(r, length, words)
-        bad = verify_addressing(self.dist, adr)
-        if bad:
-            raise AssertionError(f"internal error: witness fails verification {bad[:3]}")
+        adr = check_addressing(self.dist, Addressing(r, length, words), "search witness")
         return SearchOutcome(True, adr, nodes, True)
 
 
@@ -334,7 +327,7 @@ def solve_N(cfg):
             return SolveResult(length, out.addressing, total, True, length, length)
         if not out.exhausted:
             return SolveResult(None, None, total, False, length, g.n - 1)
-    raise AssertionError("no addressing found up to length n-1; search is broken")
+    raise SelfCheckError("no addressing found up to length n-1; search is broken")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +351,7 @@ def _census_line(args):
     try:
         g = parse_graph6(line)
         res = solve_N(SearchConfig(graph=g, r=r, node_limit=node_limit))
-    except (Graph6ParseError, DisconnectedGraphError, ValueError) as exc:
+    except ValueError as exc:     # bad input: parse errors, disconnected graphs
         return lineno, None, None, f"{exc}"
     if res.value is None:
         return lineno, g.n, None, f"inconclusive in [{res.lower}, {res.upper}] (node limit)"

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .addressing import verify_addressing
+from .errors import SelfCheckError
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _exact_quotients(numerators, divisor):
     for x in numerators:
         q, rem = divmod(x, divisor)
         if rem:
-            raise AssertionError(
+            raise SelfCheckError(
                 "inexact division in fraction-free elimination; "
                 "please report this matrix"
             )

@@ -9,8 +9,8 @@ from squashcube.addressing import (
     addressing_to_json,
     distance_edge_multiset,
     format_addressing,
+    distance_kernel,
     pack_word,
-    packed_distance,
     parse_addressing,
     partition_edge_multiset,
     partition_to_addressing,
@@ -54,13 +54,12 @@ def test_weight():
 def test_packed_distance_agrees_with_symbol_count(r):
     rng = random.Random(r)
     alphabet = "*" + "".join(str(d) for d in range(r))
-    planes = 2 if r <= 4 else r
     for _ in range(300):
         n = rng.randint(1, 15)
         a = "".join(rng.choice(alphabet) for _ in range(n))
         b = "".join(rng.choice(alphabet) for _ in range(n))
         pa, pb = pack_word(a, r), pack_word(b, r)
-        assert packed_distance(pa, pb, n, planes) == word_distance(a, b)
+        assert distance_kernel(n, r)(pa, pb) == word_distance(a, b)
         assert unpack_word(pa, n, r) == a
 
 

@@ -168,3 +168,24 @@ def test_random_demo_precondition_exit_code(capsys):
         except Exception:
             continue
     pytest.skip("no precondition-violating seed in range")
+
+
+def test_solve_rejects_alphabet_above_ten(capsys):
+    code, _, err = run(capsys, "solve", "cycle", "5", "--r", "11")
+    assert code == 2 and "alphabet size" in err
+
+
+def test_library_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # Make every verification report a violation, so the search's witness
+    # check fails: that is a library bug, reported as exit 3, not a traceback.
+    import squashcube.addressing
+
+    monkeypatch.setattr(squashcube.addressing, "verify_addressing",
+                        lambda dist, adr: [(0, 1, 1, 2)])
+    code, _, err = run(capsys, "solve", "cycle", "5")
+    assert code == 3 and "internal error" in err
+
+    path = tmp_path / "n4.g6"
+    path.write_bytes(b"\n".join(emit_graph6(g) for g in connected_graphs(4)) + b"\n")
+    code, _, err = run(capsys, "census", str(path), "--jobs", "1")
+    assert code == 3 and "internal error" in err

@@ -9,7 +9,6 @@ from squashcube.johnson import (
     good_pairs_characterized,
     johnson_addressing,
     johnson_coordinates,
-    johnson_external_lower_bound,
     matching_f,
     symbol_rule,
     union_graph_h,
@@ -172,9 +171,3 @@ def test_no_good_pair_joins_two_degree_two_vertices():
                 deg[y] = deg.get(y, 0) + 1
             for x, y in good_pairs(s, t, n, k):
                 assert deg.get(x, 0) == 1 or deg.get(y, 0) == 1
-
-
-def test_external_lower_bound_is_n():
-    assert johnson_external_lower_bound(6, 3) == 6
-    with pytest.raises(ValueError):
-        johnson_external_lower_bound(3, 4)

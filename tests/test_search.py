@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from squashcube.addressing import verify_addressing
 from squashcube.graphs import (
+    Graph,
     bfs_distances,
     complete_graph,
     connected_graphs,
@@ -118,6 +121,26 @@ def test_first_vertices_override():
 def test_search_config_rejects_bad_r():
     with pytest.raises(ValueError):
         SearchConfig(graph=complete_graph(3), r=1)
+    with pytest.raises(ValueError):
+        SearchConfig(graph=complete_graph(3), r=11)
+
+
+def test_order_6_census_is_invariant_under_relabelling_pruning_and_anchors():
+    # Metamorphic check over all 112 connected graphs on 6 vertices: none of
+    # these changes of the question or of the search may change N_2.
+    rng = random.Random(6)
+    for g in connected_graphs(6):
+        value = solve_N(SearchConfig(graph=g, r=2)).value
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        variants = [
+            SearchConfig(graph=relabelled, r=2),
+            SearchConfig(graph=g, r=2, use_aut_pruning=False),
+            SearchConfig(graph=g, r=2, first_vertices=(g.n - 1, 0, 2)),
+        ]
+        for cfg in variants:
+            assert solve_N(cfg).value == value, (emit_graph6(g), cfg)
 
 
 def test_node_counts_are_deterministic():
