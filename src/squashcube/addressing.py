@@ -5,10 +5,12 @@ two words is the number of positions where both symbols are digits and they
 differ; an addressing of a graph is valid when this matches the graph
 distance for every vertex pair.
 
-Internally words are packed into single integers (a care bitmask plus two
-digit bitplanes) so a pairwise distance costs a handful of bitwise ops and a
-popcount.  Alphabets up to r = 4 use the two bitplanes; 5 <= r <= 10 falls
-back to one bitplane per digit value.
+Internally a word of length L is packed into one integer so a pairwise
+distance costs a handful of bitwise ops and a popcount.  Bits 0..L-1 are the
+care bits (set where the symbol is a digit); then come (r-1).bit_length()
+bitplanes of L bits each, plane b holding bit b of every digit in binary.
+One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
+three and r <= 10 four.
 """
 
 import json
@@ -29,30 +31,15 @@ def _check_word(word, r):
 
 
 def pack_word(word, r):
-    """Pack a word into one int: care mask, then one or more digit bitplanes."""
+    """Pack a word into one int: the care bits, then the digits' bitplanes."""
     length = len(word)
-    care = 0
-    if r <= 4:
-        planes = [0, 0]
-        for i, ch in enumerate(word):
-            if ch == STAR:
-                continue
-            care |= 1 << i
-            d = ord(ch) - 48
-            if d & 1:
-                planes[0] |= 1 << i
-            if d & 2:
-                planes[1] |= 1 << i
-    else:
-        planes = [0] * r
-        for i, ch in enumerate(word):
-            if ch == STAR:
-                continue
-            care |= 1 << i
-            planes[ord(ch) - 48] |= 1 << i
-    packed = care
-    for p, plane in enumerate(planes):
-        packed |= plane << ((p + 1) * length)
+    packed = 0
+    for i, ch in enumerate(word):
+        if ch != STAR:
+            code = (ord(ch) - 48) << 1 | 1      # care bit, then the digit's bits
+            for p in range(code.bit_length()):
+                if code >> p & 1:
+                    packed |= 1 << (p * length + i)
     return packed
 
 
@@ -64,7 +51,7 @@ def distance_kernel(length, r):
     positions where both care bits are set.
     """
     mask = (1 << length) - 1
-    shifts = [p * length for p in range(1, (2 if r <= 4 else r) + 1)]
+    shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
 
     def pdist(a, b):
         d = a ^ b
@@ -78,18 +65,14 @@ def distance_kernel(length, r):
 
 def unpack_word(packed, length, r):
     """Inverse of pack_word."""
+    planes = range((r - 1).bit_length())
     chars = []
     for i in range(length):
-        if not (packed >> i) & 1:
-            chars.append(STAR)
-        elif r <= 4:
-            d = ((packed >> (length + i)) & 1) | (((packed >> (2 * length + i)) & 1) << 1)
+        if packed >> i & 1:
+            d = sum((packed >> ((b + 1) * length + i) & 1) << b for b in planes)
             chars.append(chr(48 + d))
         else:
-            d = next(
-                p for p in range(r) if (packed >> ((p + 1) * length + i)) & 1
-            )
-            chars.append(chr(48 + d))
+            chars.append(STAR)
     return "".join(chars)
 
 
@@ -176,6 +159,16 @@ def check_addressing(dist, adr, what):
     if bad:
         raise SelfCheckError(f"{what} fails verification: {bad[:3]}")
     return adr
+
+
+def require_valid(dist, adr, what):
+    """Raise ValueError naming `what` unless adr is valid for dist.
+
+    For addressings the caller supplied, so a violation is bad input.
+    """
+    bad = verify_addressing(dist, adr)
+    if bad:
+        raise ValueError(f"{what} is not a valid addressing ({len(bad)} violations)")
 
 
 # ---------------------------------------------------------------------------

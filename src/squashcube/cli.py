@@ -195,7 +195,9 @@ def cmd_census(args):
         row = [str(n), str(sum(counts.values()))]
         row += [str(counts.get(c, 0)) for c in range(1, width + 1)]
         print("\t".join(row))
-    return EXIT_OK
+    for lineno, msg in res.internal_errors:
+        print(f"line {lineno}: internal error: {msg}", file=sys.stderr)
+    return EXIT_INTERNAL if res.internal_errors else EXIT_OK
 
 
 def cmd_random_demo(args):

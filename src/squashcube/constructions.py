@@ -15,7 +15,7 @@ from .addressing import (
     check_addressing,
     distance_edge_multiset,
     partition_edge_multiset,
-    verify_addressing,
+    require_valid,
 )
 from .errors import (
     CapabilityError,
@@ -28,12 +28,6 @@ from .graphs import Graph, bfs_distances, complete_multipartite, kam_graph, mult
 from .johnson import johnson_addressing
 
 ONE_TWO_COVER_CAP = 9
-
-
-def _require_valid(adr, graph, what):
-    bad = verify_addressing(bfs_distances(graph), adr)
-    if bad:
-        raise ValueError(f"{what} is not a valid addressing ({len(bad)} violations)")
 
 
 def _checked(adr, graph, what):
@@ -53,7 +47,7 @@ def blow_up(base, a, m, s):
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    _require_valid(base, kam_graph(a, m), "blow-up base")
+    require_valid(bfs_distances(kam_graph(a, m)), base, "blow-up base")
     if s == 1:
         return base
     copy_words = johnson_addressing(s, 1).words   # K_s rows, length s - 1
@@ -81,7 +75,7 @@ def plus_three(base, class_sizes, grow_class, v):
     classes = multipartite_classes(sizes)
     if v not in classes[grow_class]:
         raise ValueError(f"vertex {v} is not in class {grow_class}")
-    _require_valid(base, complete_multipartite(sizes), "plus-three base")
+    require_valid(bfs_distances(complete_multipartite(sizes)), base, "plus-three base")
 
     insert_at = classes[grow_class][-1] + 1
     new_words = []
@@ -105,7 +99,7 @@ def append_merge_column(adr, class_sizes):
     sizes = list(class_sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 classes to merge two of them")
-    _require_valid(adr, complete_multipartite(sizes), "merge-column base")
+    require_valid(bfs_distances(complete_multipartite(sizes)), adr, "merge-column base")
     classes = multipartite_classes(sizes)
     column = [STAR] * adr.n
     for u in classes[0]:

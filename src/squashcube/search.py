@@ -14,11 +14,17 @@ Three prunings keep the tree small, all sound and none affecting the verdict:
     the anchor did, and likewise for the second and third anchors under the
     one- and two-point stabilizers.
 
-Remaining vertices keep explicit candidate lists (built by a
-meet-in-the-middle join over half-words, so the full symbol space is never
-materialized) that are filtered on every assignment; the vertex with the
-fewest candidates is assigned next.  Every witness is re-verified before it
-is returned.
+One recursion does all the work, from the root down.  The root's
+candidates are the words 0^wt *^(L-wt) for wt from the first anchor's
+eccentricity to L.  Once the first anchor has its word, one
+meet-in-the-middle join over half-words builds, for each distance that some
+vertex needs, the sorted list of all words at that distance (so the full
+symbol space is never materialized); vertices at equal distance from the
+first anchor share one list, which is safe because lists are never mutated,
+only filtered into new ones.  Below the root, every assignment filters each
+remaining vertex's list by its distance to the new word, and the vertex
+with the fewest candidates is assigned next.  Every witness is re-verified
+before it is returned.
 """
 
 import multiprocessing
@@ -124,7 +130,7 @@ class _Searcher:
         self.dist = [[int(x) for x in row] for row in dist]
         self.diameter = max(max(row) for row in self.dist) if g.n > 1 else 0
         self.anchors = self._pick_anchors()
-        self.orbit_floors = self._orbit_constraints() if cfg.use_aut_pruning else []
+        self.orbit_floors = self._orbit_constraints() if cfg.use_aut_pruning else {}
 
     def _pick_anchors(self):
         n, dist = self.n, self.dist
@@ -151,17 +157,17 @@ class _Searcher:
         return anchors
 
     def _orbit_constraints(self):
-        """(anchor_index, members) pairs for the weight-floor pruning."""
+        """{anchor index: the rest of its orbit} for the weight-floor pruning."""
         try:
             perms = automorphisms(self.cfg.graph)
         except CapabilityError:
-            return []
-        floors = []
+            return {}
+        floors = {}
         for i, v in enumerate(self.anchors):
             members = {p[v] for p in perms}
             members.discard(v)
             if members:
-                floors.append((i, members))
+                floors[i] = members
             perms = [p for p in perms if p[v] == v]
         return floors
 
@@ -186,26 +192,43 @@ class _Searcher:
         low = _enumerate_half(range(length // 2), length, r)
         high = _enumerate_half(range(length // 2, length), length, r)
 
-        def mitm(constraints):
-            buckets = {}
+        def words_at(w, targets):
+            """The sorted words at each target distance from w, joined from
+            half-words with the high halves bucketed once by distance."""
+            by_high = {}
             for h in high:
-                key = tuple(pdist(h, w) for w, _ in constraints)
-                buckets.setdefault(key, []).append(h)
-            out = []
+                by_high.setdefault(pdist(h, w), []).append(h)
+            out = {t: [] for t in targets}
             for lo in low:
-                need = tuple(t - pdist(lo, w) for w, t in constraints)
-                if min(need) >= 0:
-                    out.extend(lo | h for h in buckets.get(need, ()))
-            out.sort()
+                dl = pdist(lo, w)
+                for t, lst in out.items():
+                    lst.extend(lo | h for h in by_high.get(t - dl, ()))
+            for lst in out.values():
+                lst.sort()
             return out
 
-        # Weight floors from automorphism orbits, filled in as anchors get words.
+        def children(v, cand, lists, depth):
+            """Every other vertex's candidates once v has cand; None if one runs dry.
+
+            At the root, vertices at equal distance from v share one list:
+            lists are only ever filtered into new ones, never mutated.
+            """
+            dv = dist[v]
+            if depth == 0:
+                others = [u for u in range(n) if u != v]
+                by_dist = words_at(cand, {dv[u] for u in others})
+                return {u: by_dist[dv[u]] for u in others}
+            out = {}
+            for u, lst in lists.items():
+                if u != v:
+                    flt = [c for c in lst if pdist(c, cand) == dv[u]]
+                    if not flt:
+                        return None
+                    out[u] = flt
+            return out
+
+        # Weight floors from automorphism orbits, raised as anchors get words.
         floor_of = {}
-
-        def weight_ok(v, packed):
-            bound = floor_of.get(v)
-            return bound is None or (packed & care).bit_count() >= bound
-
         witness = {}
 
         def dfs(lists, rows, depth):
@@ -216,11 +239,14 @@ class _Searcher:
                 v = anchors[depth]
             else:
                 v = min(lists, key=lambda u: (len(lists[u]), u))
+            floor = floor_of.get(v, 0)
+            members = self.orbit_floors.get(depth, ())
             for cand in lists[v]:
                 nodes += 1
                 if limit is not None and nodes > limit:
                     raise _NodeLimit
-                if not weight_ok(v, cand):
+                wt = (cand & care).bit_count()
+                if wt < floor:
                     continue
                 if depth < len(anchors):
                     new_rows = rows + [unpack_word(cand, length, r)]
@@ -228,71 +254,26 @@ class _Searcher:
                         continue
                 else:
                     new_rows = rows
-                new_lists = {}
-                dead = False
-                dv = dist[v]
-                for u, lst in lists.items():
-                    if u == v:
-                        continue
-                    target = dv[u]
-                    flt = [c for c in lst if pdist(c, cand) == target]
-                    if not flt:
-                        dead = True
-                        break
-                    new_lists[u] = flt
-                if dead:
+                new_lists = children(v, cand, lists, depth)
+                if new_lists is None:
                     continue
                 witness[v] = cand
-                pushed = None
-                for idx, members in self.orbit_floors:
-                    if anchors[idx] == v:
-                        bound = (cand & care).bit_count()
-                        pushed = [(u, floor_of.get(u)) for u in members]
-                        for u in members:
-                            floor_of[u] = max(floor_of.get(u, 0), bound)
-                        break
+                saved = [(u, floor_of.get(u, 0)) for u in members]
+                for u, old in saved:
+                    floor_of[u] = max(old, wt)
                 if dfs(new_lists, new_rows, depth + 1):
                     return True
-                if pushed is not None:
-                    for u, old in pushed:
-                        if old is None:
-                            del floor_of[u]
-                        else:
-                            floor_of[u] = old
+                floor_of.update(saved)
                 del witness[v]
             return False
 
         v1 = anchors[0]
-        ecc = max(dist[v1])
-        found = False
+        roots = [
+            pack_word("0" * wt + STAR * (length - wt), r)
+            for wt in range(max(dist[v1]), length + 1)
+        ]
         try:
-            for wt in range(ecc, length + 1):
-                w1 = pack_word("0" * wt + STAR * (length - wt), r)
-                nodes += 1
-                if limit is not None and nodes > limit:
-                    raise _NodeLimit
-                lists = {}
-                dead = False
-                for u in range(n):
-                    if u == v1:
-                        continue
-                    cands = mitm([(w1, dist[v1][u])])
-                    if not cands:
-                        dead = True
-                        break
-                    lists[u] = cands
-                if dead:
-                    continue
-                witness.clear()
-                floor_of.clear()
-                witness[v1] = w1
-                for idx, members in self.orbit_floors:
-                    if anchors[idx] == v1:
-                        for u in members:
-                            floor_of[u] = wt
-                if dfs(lists, [unpack_word(w1, length, r)], 1):
-                    found = True
-                    break
+            found = dfs({v1: roots}, [], 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 
@@ -335,10 +316,16 @@ def solve_N(cfg):
 
 @dataclass
 class CensusResult:
-    """Counts of n - N_r keyed per order, plus per-line problems."""
+    """Counts of n - N_r keyed per order, plus per-line problems.
+
+    `errors` holds (line, message) for lines skipped as bad input or as
+    inconclusive; `internal_errors` holds (line, message) for lines whose
+    solve failed a library self-check, which is a bug, not bad input.
+    """
 
     by_n: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
+    internal_errors: list = field(default_factory=list)
     total: int = 0
 
     def add(self, n, value):
@@ -352,17 +339,20 @@ def _census_line(args):
         g = parse_graph6(line)
         res = solve_N(SearchConfig(graph=g, r=r, node_limit=node_limit))
     except ValueError as exc:     # bad input: parse errors, disconnected graphs
-        return lineno, None, None, f"{exc}"
+        return lineno, None, None, f"{exc}", False
+    except SelfCheckError as exc:  # kept to this line, so the other graphs still count
+        return lineno, None, None, f"{exc}", True
     if res.value is None:
-        return lineno, g.n, None, f"inconclusive in [{res.lower}, {res.upper}] (node limit)"
-    return lineno, g.n, res.value, None
+        return lineno, g.n, None, f"inconclusive in [{res.lower}, {res.upper}] (node limit)", False
+    return lineno, g.n, res.value, None, False
 
 
 def census_distribution(lines, r=2, jobs=1, node_limit=None):
     """Solve every graph6 line and histogram n - N_r per graph order.
 
     Bad lines (parse errors, disconnected graphs, node-limit hits) are
-    skipped and reported in the result's `errors` list.
+    skipped and reported in the result's `errors` list; a line whose solve
+    fails a self-check is reported in `internal_errors` instead.
     """
     tasks = [
         (i, line, r, node_limit)
@@ -377,8 +367,10 @@ def census_distribution(lines, r=2, jobs=1, node_limit=None):
             rows = pool.map(_census_line, tasks, chunksize=16)
     else:
         rows = map(_census_line, tasks)
-    for lineno, n, value, err in rows:
-        if err is not None:
+    for lineno, n, value, err, internal in rows:
+        if internal:
+            result.internal_errors.append((lineno, err))
+        elif err is not None:
             result.errors.append((lineno, err))
         else:
             result.add(n, value)

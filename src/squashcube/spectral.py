@@ -25,7 +25,7 @@ exact; a nonzero remainder is reported as a self-check failure.
 import math
 from dataclasses import dataclass
 
-from .addressing import verify_addressing
+from .addressing import require_valid
 from .errors import SelfCheckError
 
 
@@ -153,8 +153,6 @@ def is_eigensharp(dist, adr):
     """True when a valid r=2 addressing meets the eigenvalue bound exactly."""
     if adr.r != 2:
         raise ValueError("eigensharpness is defined for the 2-symbol alphabet")
-    violations = verify_addressing(dist, adr)
-    if violations:
-        raise ValueError(f"addressing is not valid ({len(violations)} violations)")
+    require_valid(dist, adr, "eigensharpness input")
     ine = inertia(dist)
     return adr.length == max(ine.n_plus, ine.n_minus)

@@ -7,6 +7,7 @@ from squashcube.graphs import (
     Graph,
     bfs_distances,
     complete_graph,
+    complete_multipartite,
     connected_graphs,
     cycle_graph,
     emit_graph6,
@@ -82,7 +83,8 @@ def test_matches_brute_force_oracle_n4():
 
 
 def test_large_alphabet_fallback_packing():
-    # r = 5 leaves the two-bitplane fast path; check it against brute force
+    # r = 5 is the smallest alphabet whose digits take three bitplanes;
+    # check it against brute force
     from squashcube.graphs import path_graph
 
     for g in (complete_graph(3), path_graph(3), cycle_graph(5)):
@@ -125,19 +127,21 @@ def test_search_config_rejects_bad_r():
         SearchConfig(graph=complete_graph(3), r=11)
 
 
-def test_order_6_census_is_invariant_under_relabelling_pruning_and_anchors():
-    # Metamorphic check over all 112 connected graphs on 6 vertices: none of
-    # these changes of the question or of the search may change N_2.
-    rng = random.Random(6)
-    for g in connected_graphs(6):
-        value = solve_N(SearchConfig(graph=g, r=2)).value
+@pytest.mark.parametrize("order,r", [(6, 2), (5, 3)])
+def test_census_is_invariant_under_relabelling_pruning_and_anchors(order, r):
+    # Metamorphic check over all connected graphs of one order (112 on 6
+    # vertices, 21 on 5): none of these changes of the question or of the
+    # search may change N_r.
+    rng = random.Random(order)
+    for g in connected_graphs(order):
+        value = solve_N(SearchConfig(graph=g, r=r)).value
         perm = list(range(g.n))
         rng.shuffle(perm)
         relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         variants = [
-            SearchConfig(graph=relabelled, r=2),
-            SearchConfig(graph=g, r=2, use_aut_pruning=False),
-            SearchConfig(graph=g, r=2, first_vertices=(g.n - 1, 0, 2)),
+            SearchConfig(graph=relabelled, r=r),
+            SearchConfig(graph=g, r=r, use_aut_pruning=False),
+            SearchConfig(graph=g, r=r, first_vertices=(g.n - 1, 0, 2)),
         ]
         for cfg in variants:
             assert solve_N(cfg).value == value, (emit_graph6(g), cfg)
@@ -149,6 +153,55 @@ def test_node_counts_are_deterministic():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_node_counts_and_witnesses_are_pinned():
+    # Candidate order and every pruning decide these exact numbers and words;
+    # a change to either shows up here.
+    pet = SearchConfig(graph=petersen_graph(), r=2)
+    out = feasible_at_length(pet, 5)
+    assert (out.feasible, out.exhausted, out.nodes_explored) == (False, True, 599)
+    out = feasible_at_length(pet, 6)
+    assert out.nodes_explored == 53
+    assert out.addressing.words == (
+        "00****", "10**00", "11000*", "11001*", "10**11",
+        "0110**", "1111*0", "111001", "111010", "1111*1",
+    )
+    cases = [
+        (cycle_graph(9), 3, 41,
+         ("0000*", "00010", "10010", "11010", "1111*",
+          "1112*", "21*21", "0*221", "00021")),
+        (complete_multipartite([3, 2, 2]), 2, 128,
+         ("00***", "1100*", "1111*", "10***", "01**0", "*1101", "*1011")),
+        (cycle_graph(5), 5, 36, ("00*", "010", "11*", "12*", "021")),
+    ]
+    for graph, r, nodes, words in cases:
+        res = solve_N(SearchConfig(graph=graph, r=r))
+        assert (res.nodes_explored, res.addressing.words) == (nodes, words)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_counts_every_other_graph_past_a_self_check_failure(monkeypatch, jobs):
+    # Verification fails only for the path P4, the one connected 4-vertex
+    # graph of diameter 3: its line becomes one internal-error record, and
+    # the other five graphs are still counted.
+    import squashcube.addressing
+
+    real = squashcube.addressing.verify_addressing
+
+    def verify(dist, adr):
+        if max(map(max, dist)) == 3:
+            return [(0, 1, 1, 2)]
+        return real(dist, adr)
+
+    monkeypatch.setattr(squashcube.addressing, "verify_addressing", verify)
+    graphs = connected_graphs(4)
+    path_line = 1 + next(i for i, g in enumerate(graphs) if bfs_distances(g).max() == 3)
+    res = census_distribution([emit_graph6(g) for g in graphs], r=2, jobs=jobs)
+    assert res.total == 5 and dict(res.by_n[4]) == {1: 4, 2: 1}
+    assert res.errors == []
+    assert [lineno for lineno, _ in res.internal_errors] == [path_line]
+    assert "search witness fails verification" in res.internal_errors[0][1]
 
 
 def test_census_small_orders():
