@@ -11,6 +11,12 @@ care bits (set where the symbol is a digit); then come (r-1).bit_length()
 bitplanes of L bits each, plane b holding bit b of every digit in binary.
 One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
+
+Two views of the same distance are built once per word shape (length, r):
+distance_kernel returns pdist(a, b) for single pairs, and distance_filter
+returns at(words, w, t), which keeps the words at distance t from w with
+the test written inline, for the search's candidate lists.  Nothing outside
+this module knows the bitplane layout.
 """
 
 import json
@@ -61,6 +67,40 @@ def distance_kernel(length, r):
         return (a & b & acc & mask).bit_count()
 
     return pdist
+
+
+def distance_filter(length, r):
+    """The filter at(words, w, t): the words of `words` at distance t from w.
+
+    The same test as distance_kernel, written inline in one list
+    comprehension so that no call is made per word; the words keep their
+    order.  All words must be packed with this length and alphabet size.
+    One expression per bitplane count: the four-shift one also serves three
+    planes, since a shift past the top plane gives 0.
+    """
+    care = (1 << length) - 1
+    s1, s2, s3, s4 = (p * length for p in range(1, 5))
+    planes = (r - 1).bit_length()
+    if planes == 1:
+        def at(words, w, t):
+            cw = w & care
+            return [c for c in words if (c & cw & ((c ^ w) >> s1)).bit_count() == t]
+    elif planes == 2:
+        def at(words, w, t):
+            cw = w & care
+            return [
+                c for c in words
+                if (c & cw & ((x := c ^ w) >> s1 | x >> s2)).bit_count() == t
+            ]
+    else:
+        def at(words, w, t):
+            cw = w & care
+            return [
+                c for c in words
+                if (c & cw & ((x := c ^ w) >> s1 | x >> s2 | x >> s3 | x >> s4)
+                    ).bit_count() == t
+            ]
+    return at
 
 
 def unpack_word(packed, length, r):

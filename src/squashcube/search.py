@@ -22,8 +22,11 @@ vertex needs, the sorted list of all words at that distance (so the full
 symbol space is never materialized); vertices at equal distance from the
 first anchor share one list, which is safe because lists are never mutated,
 only filtered into new ones.  Below the root, every assignment filters each
-remaining vertex's list by its distance to the new word, and the vertex
-with the fewest candidates is assigned next.  Every witness is re-verified
+remaining vertex's list by its distance to the new word with the per-shape
+filter `addressing.distance_filter`, built once per length (one list
+comprehension per list, with no call per word); vertices holding the same
+list at the same distance get one shared filtered list.  The vertex with
+the fewest candidates is assigned next.  Every witness is re-verified
 before it is returned.
 """
 
@@ -38,6 +41,7 @@ from .addressing import (
     STAR,
     Addressing,
     check_addressing,
+    distance_filter,
     distance_kernel,
     pack_word,
     unpack_word,
@@ -184,6 +188,7 @@ class _Searcher:
         r = self.r
         care = (1 << length) - 1     # the care bits; their popcount is the weight
         pdist = distance_kernel(length, r)
+        at = distance_filter(length, r)
         dist = self.dist
         anchors = self.anchors
         nodes = 0
@@ -210,8 +215,12 @@ class _Searcher:
         def children(v, cand, lists, depth):
             """Every other vertex's candidates once v has cand; None if one runs dry.
 
-            At the root, vertices at equal distance from v share one list:
-            lists are only ever filtered into new ones, never mutated.
+            Vertices that need the same distance share one list: at the
+            root, one join serves each distance; below it, vertices that
+            hold the same list get one filtered copy.  Sharing is safe
+            because lists are only ever filtered into new ones, never
+            mutated, and keying on id() is safe because `lists` keeps every
+            list alive during the call.
             """
             dv = dist[v]
             if depth == 0:
@@ -219,11 +228,15 @@ class _Searcher:
                 by_dist = words_at(cand, {dv[u] for u in others})
                 return {u: by_dist[dv[u]] for u in others}
             out = {}
+            shared = {}
             for u, lst in lists.items():
                 if u != v:
-                    flt = [c for c in lst if pdist(c, cand) == dv[u]]
-                    if not flt:
-                        return None
+                    key = (id(lst), dv[u])
+                    flt = shared.get(key)
+                    if flt is None:
+                        flt = shared[key] = at(lst, cand, dv[u])
+                        if not flt:
+                            return None
                     out[u] = flt
             return out
 

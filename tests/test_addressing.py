@@ -9,6 +9,7 @@ from squashcube.addressing import (
     addressing_to_json,
     distance_edge_multiset,
     format_addressing,
+    distance_filter,
     distance_kernel,
     pack_word,
     parse_addressing,
@@ -61,6 +62,27 @@ def test_packed_distance_agrees_with_symbol_count(r):
         pa, pb = pack_word(a, r), pack_word(b, r)
         assert distance_kernel(n, r)(pa, pb) == word_distance(a, b)
         assert unpack_word(pa, n, r) == a
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_distance_filter_agrees_with_kernel(r):
+    # The filter inlines the kernel's test, with one expression per bitplane
+    # count; it must keep exactly the words the kernel puts at distance t,
+    # in their order, for every t from 0 to the length.
+    rng = random.Random(100 + r)
+    alphabet = "*" + "".join(str(d) for d in range(r))
+    for length in (1, 2, 5, 7, 13):
+        pdist = distance_kernel(length, r)
+        at = distance_filter(length, r)
+        words = [
+            pack_word("".join(rng.choice(alphabet) for _ in range(length)), r)
+            for _ in range(60)
+        ]
+        words[::7] = [pack_word("*" * length, r)] * len(words[::7])
+        for w in words[:12] + [pack_word(str(r - 1) * length, r)]:
+            for t in range(length + 1):
+                assert at([], w, t) == []
+                assert at(words, w, t) == [c for c in words if pdist(c, w) == t]
 
 
 def test_addressing_validation():
