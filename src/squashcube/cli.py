@@ -34,6 +34,7 @@ from .graphs import (
     cycle_graph,
     johnson_graph,
     kam_graph,
+    parse_graph6,
     petersen_graph,
     random_graph,
 )
@@ -80,8 +81,6 @@ def parse_graph_spec(tokens):
             idx = int(lineno) - 1
             if not 0 <= idx < len(lines):
                 raise SpecError(f"{path} has no line {lineno}")
-            from .graphs import parse_graph6
-
             return parse_graph6(lines[idx])
     except (ValueError, OSError) as exc:
         raise SpecError(f"bad graph spec {' '.join(tokens)!r}: {exc}") from exc

@@ -6,14 +6,14 @@ class by class.
 """
 
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
 
 MAX_VERTICES = 4096
-AUTOMORPHISM_CAP = 12
+SYMMETRY_CAP = 12
 CANONICAL_CAP = 8
 
 
@@ -300,7 +300,8 @@ def emit_graph6(g):
 
 
 # ---------------------------------------------------------------------------
-# automorphisms (naive refined backtracking; fine for the small graphs we need)
+# symmetry: one search over refined vertex orderings gives both the canonical
+# label and the automorphism group; the small censuses dedupe on the label
 
 def _refine_colors(g):
     colors = [g.degree(v) for v in range(g.n)]
@@ -314,88 +315,79 @@ def _refine_colors(g):
     return colors
 
 
-def automorphisms(g, cap=AUTOMORPHISM_CAP):
-    """Full automorphism group as a list of vertex permutations (tuples).
+def _least_orderings(g):
+    """Canonical label `(n, rows)` and every vertex ordering that reaches it.
 
-    Brute-force backtracking over color-refined candidate maps; raises
-    CapabilityError above `cap` vertices.
-    """
-    if g.n > cap:
-        raise CapabilityError(f"automorphism search capped at {cap} vertices (n={g.n})")
-    if g.n == 0:
-        return [()]
-    colors = _refine_colors(g)
-    candidates = [
-        [u for u in range(g.n) if colors[u] == colors[v]] for v in range(g.n)
-    ]
-    found = []
-    image = [-1] * g.n
-    used = [False] * g.n
-
-    def extend(v):
-        if v == g.n:
-            found.append(tuple(image))
-            return
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in range(v):
-                if g.has_edge(v, w) != g.has_edge(u, image[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                extend(v + 1)
-                used[u] = False
-        image[v] = -1
-
-    extend(0)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# canonical forms and small censuses
-
-def canonical_form(g, cap=CANONICAL_CAP):
-    """Canonical label (hashable): equal exactly for isomorphic graphs.
-
-    Vertices are grouped by iterated color refinement (an isomorphism
-    invariant), then the packed upper-triangle adjacency is minimized over
-    the orderings that list the color classes in canonical order.  Only
-    refinement-blind graphs (regular ones, mostly) pay for the full
-    factorial.
+    The orderings list the `_refine_colors` classes in color order.  A
+    vertex's row is the bitmask of the placed positions it is adjacent to,
+    so the rows in placement order spell out the graph; the label is the
+    lexicographically least row sequence.  Automorphisms preserve the refined
+    colors, so the orderings that reach the label form one coset of the
+    automorphism group, and the search costs at least the group's order.
     """
     n = g.n
-    if n > cap:
-        raise CapabilityError(f"canonical form capped at {cap} vertices (n={g.n})")
-    if n <= 1:
-        return (n, 0)
-
+    if n > SYMMETRY_CAP:
+        raise CapabilityError(f"symmetry search capped at {SYMMETRY_CAP} vertices (n={n})")
     colors = _refine_colors(g)
-    classes = {}
+    members = {}
     for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    class_list = [classes[c] for c in sorted(classes)]
+        members.setdefault(colors[v], []).append(v)
+    slots = [members[c] for c in sorted(colors)]   # position -> its class
+    rows = [0] * n
+    free = [True] * n
+    order, best, found = [], [], []
 
-    pair_bit = {}
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            pair_bit[i, j] = t
-            t += 1
+    def place(p):
+        # invariant: the rows placed so far equal best[:p]
+        if p == n:
+            found.append(tuple(order))
+            return
+        cls = [v for v in slots[p] if free[v]]
+        least = min(rows[v] for v in cls)
+        if p == len(best):
+            best.append(least)
+        elif least != best[p]:
+            if least > best[p]:
+                return
+            del best[p:]
+            best.append(least)
+            found.clear()
+        bit = 1 << p
+        for v in cls:
+            if rows[v] != least:
+                continue
+            free[v] = False
+            order.append(v)
+            for u in g.adj[v]:
+                rows[u] |= bit
+            place(p + 1)
+            for u in g.adj[v]:
+                rows[u] ^= bit
+            order.pop()
+            free[v] = True
 
-    best = None
-    for parts in product(*(permutations(cls) for cls in class_list)):
-        order = [v for part in parts for v in part]   # new position -> old vertex
-        packed = 0
-        for (i, j), bit in pair_bit.items():
-            if g.has_edge(order[i], order[j]):
-                packed |= 1 << bit
-        if best is None or packed < best:
-            best = packed
-    return (n, tuple(sorted(colors)), best)
+    place(0)
+    return (n, tuple(best)), found
+
+
+def automorphisms(g):
+    """Full automorphism group as a list of vertex permutations (tuples).
+
+    Maps the first ordering that reaches the canonical label to each of
+    them.  Raises CapabilityError above SYMMETRY_CAP vertices.
+    """
+    _, orderings = _least_orderings(g)
+    where = sorted(range(g.n), key=orderings[0].__getitem__)   # vertex -> position
+    return [tuple(o[p] for p in where) for o in orderings]
+
+
+def canonical_form(g):
+    """Canonical label (hashable): equal exactly for isomorphic graphs.
+
+    See `_least_orderings`.  Raises CapabilityError above SYMMETRY_CAP
+    vertices.
+    """
+    return _least_orderings(g)[0]
 
 
 def all_graphs(n, cap=CANONICAL_CAP):
@@ -415,7 +407,7 @@ def all_graphs(n, cap=CANONICAL_CAP):
                     (u, m - 1) for u in range(m - 1) if (mask >> u) & 1
                 ]
                 h = Graph(m, edges)
-                key = canonical_form(h, cap=cap)
+                key = canonical_form(h)
                 if key not in seen:
                     seen.add(key)
                     nxt.append(h)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -285,9 +286,48 @@ def test_automorphisms_form_a_group():
             break  # composing all pairs of Petersen's 120 is enough once
 
 
+def _from_nx(h):
+    return Graph(len(h), h.edges)  # networkx generators number nodes 0..n-1
+
+
+def _to_nx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def test_automorphisms_match_networkx_matcher():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    named = [
+        cycle_graph(12),
+        _from_nx(nx.frucht_graph()),
+        _from_nx(nx.icosahedral_graph()),
+        _from_nx(nx.truncated_tetrahedron_graph()),
+        complete_multipartite([3, 3, 3]),
+        complete_multipartite([4, 4, 1]),
+    ]
+    small = [g for n in range(1, 7) for g in connected_graphs(n)]
+    for g in small + named:
+        h = _to_nx(nx, g)
+        expected = {
+            tuple(m[v] for v in range(g.n))
+            for m in GraphMatcher(h, h).isomorphisms_iter()
+        }
+        assert set(automorphisms(g)) == expected, emit_graph6(g)
+
+
 def test_automorphism_cap():
     with pytest.raises(CapabilityError):
         automorphisms(cycle_graph(13))
+
+
+def test_canonical_form_cap():
+    canonical_form(cycle_graph(12))
+    with pytest.raises(CapabilityError):
+        canonical_form(cycle_graph(13))
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -302,3 +342,42 @@ def test_canonical_form_is_isomorphism_invariant():
 def test_small_graph_census_counts():
     assert [len(all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
     assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+
+def test_canonical_form_separates_same_degree_graphs():
+    """Equal labels exactly for isomorphic pairs, at 9-12 vertices.
+
+    Every graph in a group has the same degree sequence, and regular graphs
+    are blind to color refinement, so only the ordering search tells them
+    apart.  Each graph also meets a relabelled copy of itself.
+    """
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(11)
+
+    def relabel(g):
+        perm = [int(x) for x in rng.permutation(g.n)]
+        return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+    def cycles(*lengths):
+        return _from_nx(nx.disjoint_union_all([nx.cycle_graph(k) for k in lengths]))
+
+    groups = [
+        [cycles(9), cycles(3, 6), cycles(4, 5), cycles(3, 3, 3)],
+        [cycles(12), cycles(6, 6), cycles(4, 4, 4), cycles(3, 3, 3, 3), cycles(5, 7)],
+        [_from_nx(nx.random_regular_graph(4, 9, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(3, 10, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(3, 12, seed=s)) for s in range(8)],
+        [_from_nx(nx.random_regular_graph(4, 11, seed=s)) for s in range(6)],
+    ]
+    for group in groups:
+        graphs = group + [relabel(g) for g in group]
+        labels = [canonical_form(g) for g in graphs]
+        for (g, a), (h, b) in itertools.combinations(zip(graphs, labels), 2):
+            assert (a == b) == nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, h))
+
+
+def test_connected_graphs_7_pinned():
+    """The representatives and their order, which census node counts depend on."""
+    lines = [emit_graph6(g) for g in connected_graphs(7)]
+    digest = hashlib.sha1(b"\n".join(lines)).hexdigest()
+    assert digest == "a683311f27d8fd14c3badaf794315a317cbff5fe"
