@@ -12,11 +12,10 @@ bitplanes of L bits each, plane b holding bit b of every digit in binary.
 One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
 
-Two views of the same distance are built once per word shape (length, r):
-distance_kernel returns pdist(a, b) for single pairs, and distance_filter
-returns at(words, w, t), which keeps the words at distance t from w with
-the test written inline, for the search's candidate lists.  Nothing outside
-this module knows the bitplane layout.
+Three helpers are built once per word shape (length, r): distance_kernel
+gives pdist(a, b) for single pairs, distance_filter gives at(words, w, t)
+for the search's candidate lists, and canonical_step gives the search's
+row-by-row lex-leader test.  Nothing outside this module knows the layout.
 """
 
 import json
@@ -101,6 +100,48 @@ def distance_filter(length, r):
                     ).bit_count() == t
             ]
     return at
+
+
+def canonical_step(length, r):
+    """The lex-leader test (start, step) on rows of packed words of one shape.
+
+    Rows are canonical under the address-space group (coordinate x
+    per-coordinate symbol permutations) when each column's digits first
+    appear top-down as 0, 1, 2, .. and the columns, read top-down with *
+    above every digit, are nondecreasing.  A state is (tied, top): bit j of
+    tied is set while columns j and j+1 are equal, and top holds each
+    column's count of digits used, one bitplane per entry.  step(state, w)
+    is the state after row w, or None if w breaks the order; start is the
+    state of no rows.  Every prefix of canonical rows is canonical.
+    """
+    care = (1 << length) - 1
+    # Counts reach r, a plane above the top digit's when r is a power of 2;
+    # a shift past the top digit plane gives 0.
+    shifts = [p * length for p in range(1, r.bit_length() + 1)]
+    start = (care >> 1, (0,) * len(shifts))
+
+    def step(state, w):
+        tied, top = state
+        digit = [w >> s & care for s in shifts]            # bit 0 plane first
+        # A digit in a column may be at most that column's count of digits
+        # used; compare high plane to low, keeping the columns still equal.
+        eq = w & care
+        for d, t in zip(digit[::-1], top[::-1]):
+            if eq & d & ~t:
+                return None
+            eq &= ~(d ^ t)
+        new, carry = [], eq                                # top += 1 where d == top
+        for t in top:
+            new.append(t ^ carry)
+            carry &= t
+        # Tied columns must stay in order; bit j of x >> 1 is column j+1's.
+        for x in [care & ~w] + digit[::-1]:                # the * plane, then high to low
+            if tied & x & ~(x >> 1):
+                return None
+            tied &= ~(x ^ x >> 1)
+        return tied, tuple(new)
+
+    return start, step
 
 
 def unpack_word(packed, length, r):

@@ -15,6 +15,7 @@ from .addressing import (
     check_addressing,
     format_addressing,
     load_addressing,
+    save_addressing,
     verify_addressing,
 )
 from .constructions import (
@@ -96,12 +97,10 @@ def _node_limit(args):
 
 def _emit_addressing(adr, out):
     """Write an addressing to the file `out`, or to stdout when it is unset."""
-    text = format_addressing(adr)
     if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        save_addressing(out, adr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_addressing(adr))
     return EXIT_OK
 
 

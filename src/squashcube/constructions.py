@@ -6,6 +6,7 @@ Nothing here is trusted: every constructed addressing or partition is
 re-verified against BFS distances before it is returned.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,7 +148,7 @@ def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
     bicliques = []
     verts = list(range(k))
     # Every assignment of vertices to side A / side B / neither, up to swap.
-    for assign in _side_assignments(k):
+    for assign in itertools.product((0, 1, 2), repeat=k):
         a = tuple(v for v in verts if assign[v] == 0)
         b = tuple(v for v in verts if assign[v] == 1)
         if not a or not b or a[0] > b[0]:
@@ -195,39 +196,18 @@ def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
     raise SelfCheckError(f"no one-or-two cover of K_{k} within ceil(2*sqrt(k)) pieces")
 
 
-def _side_assignments(k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _side_assignments(k - 1):
-        for side in (0, 1, 2):
-            yield rest + (side,)
-
-
 def _check_cover(cover):
-    counts = {}
-    for a, b in cover.pieces:
-        if set(a) & set(b):
-            raise SelfCheckError("piece sides overlap")
-        for u in a:
-            for v in b:
-                key = (min(u, v), max(u, v))
-                counts[key] = counts.get(key, 0) + 1
-    k = cover.k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if counts.get((i, j), 0) not in (1, 2):
-                raise SelfCheckError(f"edge ({i},{j}) covered {counts.get((i, j), 0)} times")
+    if any(set(a) & set(b) for a, b in cover.pieces):
+        raise SelfCheckError("piece sides overlap")
+    counts = partition_edge_multiset([[a, b] for a, b in cover.pieces])
+    for i, j in itertools.combinations(range(cover.k), 2):
+        if counts[i, j] not in (1, 2):
+            raise SelfCheckError(f"edge ({i},{j}) covered {counts[i, j]} times")
 
 
 def cover_to_H(cover):
     """The graph on {0..k-1} whose edges are the once-covered pairs."""
-    counts = {}
-    for a, b in cover.pieces:
-        for u in a:
-            for v in b:
-                key = (min(u, v), max(u, v))
-                counts[key] = counts.get(key, 0) + 1
+    counts = partition_edge_multiset([[a, b] for a, b in cover.pieces])
     return Graph(cover.k, [e for e, c in counts.items() if c == 1])
 
 

@@ -6,9 +6,11 @@ Three prunings keep the tree small, all sound and none affecting the verdict:
   * the first vertex's word is a block of 0s then a block of *s;
   * the first three words form a canonical triple under the address-space
     group (coordinate permutations x per-coordinate symbol permutations):
-    every column is relabeled so its digits appear top-down as 0,1,2,.. and
-    the columns are in nondecreasing order.  Each prefix of a canonical
-    triple is itself canonical, so the test nests across depths;
+    every column's digits appear top-down as 0,1,2,.. and the columns are
+    in nondecreasing order.  The test is the packed lex-leader step
+    `addressing.canonical_step`: each anchor's word advances a state of
+    still-tied adjacent columns and per-column digit counts, and a word
+    that breaks the order is skipped;
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the
@@ -40,6 +42,7 @@ from .addressing import (
     MAX_ALPHABET,
     STAR,
     Addressing,
+    canonical_step,
     check_addressing,
     distance_filter,
     distance_kernel,
@@ -88,38 +91,10 @@ class _NodeLimit(Exception):
     pass
 
 
-def _is_canonical_prefix(rows, star_rank=10):
-    """Is this 1-3 row partial assignment the canonical member of its orbit?"""
-    length = len(rows[0])
-    prev = None
-    for j in range(length):
-        col = tuple(row[j] for row in rows)
-        expected = 0
-        seen = set()
-        for ch in col:
-            if ch == STAR or ch in seen:
-                continue
-            if ch != str(expected):
-                return False
-            seen.add(ch)
-            expected += 1
-        key = tuple(star_rank if ch == STAR else ord(ch) - 48 for ch in col)
-        if prev is not None and key < prev:
-            return False
-        prev = key
-    return True
-
-
-def _enumerate_half(positions, length, r):
-    """All packed words whose non-* symbols live in the given positions."""
-    symbols = [STAR] + [str(d) for d in range(r)]
-    out = []
-    for combo in product(symbols, repeat=len(positions)):
-        word = [STAR] * length
-        for pos, ch in zip(positions, combo):
-            word[pos] = ch
-        out.append(pack_word("".join(word), r))
-    return out
+def _enumerate_half(singles):
+    """All packed words holding at most one of each position's
+    single-symbol words, with * everywhere else."""
+    return [sum(combo) for combo in product(*([0] + s for s in singles))]
 
 
 class _Searcher:
@@ -189,13 +164,19 @@ class _Searcher:
         care = (1 << length) - 1     # the care bits; their popcount is the weight
         pdist = distance_kernel(length, r)
         at = distance_filter(length, r)
+        start, step = canonical_step(length, r)
         dist = self.dist
         anchors = self.anchors
         nodes = 0
         limit = self.cfg.node_limit
 
-        low = _enumerate_half(range(length // 2), length, r)
-        high = _enumerate_half(range(length // 2, length), length, r)
+        # single[p][d]: the word with digit d at position p and * elsewhere
+        single = [
+            [pack_word(STAR * p + str(d) + STAR * (length - 1 - p), r) for d in range(r)]
+            for p in range(length)
+        ]
+        low = _enumerate_half(single[: length // 2])
+        high = _enumerate_half(single[length // 2:])
 
         def words_at(w, targets):
             """The sorted words at each target distance from w, joined from
@@ -244,7 +225,7 @@ class _Searcher:
         floor_of = {}
         witness = {}
 
-        def dfs(lists, rows, depth):
+        def dfs(lists, state, depth):
             nonlocal nodes
             if not lists:
                 return True
@@ -261,12 +242,9 @@ class _Searcher:
                 wt = (cand & care).bit_count()
                 if wt < floor:
                     continue
-                if depth < len(anchors):
-                    new_rows = rows + [unpack_word(cand, length, r)]
-                    if not _is_canonical_prefix(new_rows):
-                        continue
-                else:
-                    new_rows = rows
+                new_state = step(state, cand) if depth < len(anchors) else state
+                if new_state is None:
+                    continue
                 new_lists = children(v, cand, lists, depth)
                 if new_lists is None:
                     continue
@@ -274,7 +252,7 @@ class _Searcher:
                 saved = [(u, floor_of.get(u, 0)) for u in members]
                 for u, old in saved:
                     floor_of[u] = max(old, wt)
-                if dfs(new_lists, new_rows, depth + 1):
+                if dfs(new_lists, new_state, depth + 1):
                     return True
                 floor_of.update(saved)
                 del witness[v]
@@ -282,11 +260,10 @@ class _Searcher:
 
         v1 = anchors[0]
         roots = [
-            pack_word("0" * wt + STAR * (length - wt), r)
-            for wt in range(max(dist[v1]), length + 1)
+            sum(s[0] for s in single[:wt]) for wt in range(max(dist[v1]), length + 1)
         ]
         try:
-            found = dfs({v1: roots}, [], 0)
+            found = dfs({v1: roots}, start, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 
@@ -376,7 +353,7 @@ def census_distribution(lines, r=2, jobs=1, node_limit=None):
     if jobs is None:
         jobs = multiprocessing.cpu_count()
     if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             rows = pool.map(_census_line, tasks, chunksize=16)
     else:
         rows = map(_census_line, tasks)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: inertia comes from
 Sturm sequences over the exact characteristic polynomial, minimum addressing
-lengths from a pruning-free enumeration, distances from a throwaway BFS.
+lengths from a pruning-free enumeration, the lex-leader test from a column
+by column pass over string rows, distances from a throwaway BFS.
 """
 
 from collections import deque
@@ -179,6 +180,35 @@ def brute_force_solve(dist, r):
         if brute_force_feasible(dist, r, length):
             return length
         length += 1
+
+
+# ---------------------------------------------------------------------------
+# reference lex-leader test on string rows
+
+def is_canonical_prefix(rows):
+    """Are these rows the canonical member of their address-space orbit?
+
+    Column by column on the strings: each column's digits first appear
+    top-down as 0, 1, 2, .., and the columns, read top-down with * ranked
+    above every digit, are in nondecreasing order.
+    """
+    prev = None
+    for j in range(len(rows[0])):
+        col = [row[j] for row in rows]
+        expected = 0
+        seen = set()
+        for ch in col:
+            if ch == STAR or ch in seen:
+                continue
+            if ch != str(expected):
+                return False
+            seen.add(ch)
+            expected += 1
+        key = [10 if ch == STAR else int(ch) for ch in col]
+        if prev is not None and key < prev:
+            return False
+        prev = key
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from squashcube.addressing import (
     Addressing,
     addressing_from_json,
+    canonical_step,
     addressing_to_json,
     distance_edge_multiset,
     format_addressing,
@@ -23,6 +24,8 @@ from squashcube.addressing import (
 )
 from squashcube.graphs import Graph, bfs_distances, complete_graph, johnson_graph
 from squashcube.johnson import johnson_addressing
+
+from oracles import is_canonical_prefix
 
 
 def test_word_distance_paper_rows():
@@ -83,6 +86,36 @@ def test_distance_filter_agrees_with_kernel(r):
             for t in range(length + 1):
                 assert at([], w, t) == []
                 assert at(words, w, t) == [c for c in words if pdist(c, w) == t]
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_canonical_step_agrees_with_string_oracle(r):
+    # The packed step must reject a row exactly when the string oracle
+    # rejects the prefix with that row appended.  Prefixes run to six rows,
+    # deeper than the search's three anchors.  Digits at row k are drawn
+    # below k + 1, the most a canonical column can use, and half the words
+    # are sorted (* last), so that deep canonical prefixes occur at all.
+    rng = random.Random(200 + r)
+    depths = [0] * 7
+    for length in range(1, 12):
+        start, step = canonical_step(length, r)
+        for _ in range(25):
+            rows, state = [], start
+            for _ in range(12):
+                alphabet = "*" + "0123456789"[: min(r, len(rows) + 1)]
+                word = [rng.choice(alphabet) for _ in range(length)]
+                if rng.random() < 0.5:
+                    word.sort(key="0123456789*".index)
+                word = "".join(word)
+                new = step(state, pack_word(word, r))
+                assert (new is not None) == is_canonical_prefix(rows + [word]), (rows, word)
+                if new is not None:
+                    rows.append(word)
+                    state = new
+                    depths[len(rows)] += 1
+                    if len(rows) == 6:
+                        break
+    assert min(depths[1:]) >= 20, depths
 
 
 def test_addressing_validation():

@@ -252,6 +252,32 @@ def test_census_parallel_matches_serial():
     assert serial.by_n == parallel.by_n
 
 
+def test_census_pool_is_no_larger_than_the_input(monkeypatch):
+    # A stand-in Pool records its size and maps serially, so no process starts.
+    import squashcube.search
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(squashcube.search.multiprocessing, "Pool", FakePool)
+    lines = [emit_graph6(g) for g in connected_graphs(3)] + [b""]
+    res = census_distribution(lines, r=2, jobs=64)
+    assert sizes == [2]
+    assert res.total == 2 and dict(res.by_n[3]) == {1: 2}
+
+
 def test_witness_words_have_expected_shape():
     res = solve_N(SearchConfig(graph=cycle_graph(7), r=3))
     assert all(len(w) == res.value for w in res.addressing.words)
