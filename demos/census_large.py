@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Census of N_2 for connected graphs of order 8 or 9 -- the big ones.
 
-Order 8 means 11117 connected graphs: about two minutes on two cores, of
-which generation is 15-23 s, and the result matches the reference row.
+Order 8 means 11117 connected graphs: under a minute on two cores, about
+half of it generation (15-24 s), and the result matches the reference row.
 Order 9 means 261080 graphs; budget some hours (generation alone is 6.5 to
 7.5 minutes and 1 GiB of memory, solving dominates), which is why these
 rows are a script rather than a test.  Generation times were measured on a

@@ -4,7 +4,7 @@
 The first few odd cycles fit the pattern N_3(C_{2n+1}) = n + 1, but it breaks
 at C_13.  This demo verifies the bundled optimal tables for C_5 .. C_19 and
 recomputes the small values exactly; pass --recompute-big to also rerun
-C_13 .. C_19 from scratch (about three minutes of CPU, dominated by the
+C_13 .. C_19 from scratch (about 20 seconds of CPU, dominated by the
 length-10 infeasibility proof for C_19).
 """
 
@@ -38,7 +38,7 @@ def main():
         print(f"  N_3(C_{n}) = {res.value}   "
               f"({res.nodes_explored} nodes, {time.time() - t0:.1f}s)")
     if not args.recompute_big:
-        print("  (--recompute-big extends this through C_19; ~3 minutes.)")
+        print("  (--recompute-big extends this through C_19; ~20 seconds.)")
 
 
 if __name__ == "__main__":

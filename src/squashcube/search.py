@@ -4,17 +4,27 @@ Feasibility at a fixed length is decided by backtracking over packed words.
 Three prunings keep the tree small, all sound and none affecting the verdict:
 
   * the first vertex's word is a block of 0s then a block of *s;
-  * the first three words form a canonical triple under the address-space
-    group (coordinate permutations x per-coordinate symbol permutations):
-    every column's digits appear top-down as 0,1,2,.. and the columns are
-    in nondecreasing order.  The test is the packed lex-leader step
-    `addressing.canonical_step`: each anchor's word advances a state of
-    still-tied adjacent columns and per-column digit counts, and a word
-    that breaks the order is skipped;
+  * the words on the path, in the order they were assigned, are canonical
+    under the address-space group (coordinate permutations x per-coordinate
+    symbol permutations): every column's digits appear top-down as
+    0,1,2,.. and the columns are in nondecreasing order.  The test is the
+    packed lex-leader step `addressing.canonical_step`: every assigned word
+    advances a state of still-tied adjacent columns and per-column digit
+    counts, and a word that breaks the order is skipped;
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the
     one- and two-point stabilizers.
+
+The lex-leader pruning is sound at every depth, under the dynamic vertex
+order too.  Take the partial assignment P on the path and a solution S that
+extends it, with v the next vertex.  Some g in the stabilizer of P makes
+P plus g(S)(v) canonical: g relabels the digits a column of P does not use
+(a new digit becomes the column's next one) and sorts the columns whose
+P-prefixes are identical.  g(S) is still a valid addressing that extends P,
+so g(S)(v) is in v's list, and g keeps every word's weight, so the weight
+floors hold for g(S) exactly when they hold for S.  By induction some
+solution survives down to a leaf.
 
 One recursion does all the work, from the root down.  The root's
 candidates are the words 0^wt *^(L-wt) for wt from the first anchor's
@@ -242,7 +252,7 @@ class _Searcher:
                 wt = (cand & care).bit_count()
                 if wt < floor:
                     continue
-                new_state = step(state, cand) if depth < len(anchors) else state
+                new_state = step(state, cand)
                 if new_state is None:
                     continue
                 new_lists = children(v, cand, lists, depth)

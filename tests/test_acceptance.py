@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to watch the lines).
-The one opt-in longer case is gated on SQUASHCUBE_OPT_IN_TESTS=1.
+The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8 and the order-5 brute-force
+sweep at r = 4) are gated on SQUASHCUBE_OPT_IN_TESTS=1.
 """
 
 import itertools
@@ -45,7 +46,12 @@ from squashcube.johnson import (
     johnson_addressing,
     union_graph_h,
 )
-from squashcube.search import SearchConfig, census_distribution, solve_N
+from squashcube.search import (
+    SearchConfig,
+    census_distribution,
+    feasible_at_length,
+    solve_N,
+)
 from squashcube.spectral import inertia
 from oracles import brute_force_solve, sturm_inertia
 
@@ -127,13 +133,32 @@ def test_criterion_5_solver_vs_paper_values():
     _report(5, elapsed < 600, f"six solver values match ({elapsed:.1f}s)")
 
 
-@pytest.mark.skipif(
+opt_in = pytest.mark.skipif(
     not os.environ.get("SQUASHCUBE_OPT_IN_TESTS"),
     reason="opt-in longer case; set SQUASHCUBE_OPT_IN_TESTS=1",
 )
+
+
+@opt_in
 def test_criterion_5_opt_in_c11():
     res = solve_N(SearchConfig(graph=cycle_graph(11), r=3))
     _report(5, res.value == 6 and res.exhausted, "N_3(C_11) = 6")
+
+
+@opt_in
+def test_criterion_5_opt_in_j63():
+    # N_2(J(6,3)) = 8 < 9 = k(n-k): length 7 is exhausted, length 8 found.
+    start = time.time()
+    g = johnson_graph(6, 3)
+    short = feasible_at_length(SearchConfig(graph=g, r=2), 7)
+    found = feasible_at_length(SearchConfig(graph=g, r=2), 8)
+    ok = (
+        (short.feasible, short.exhausted) == (False, True)
+        and found.feasible
+        and verify_addressing(bfs_distances(g), found.addressing) == []
+    )
+    _report(5, ok, f"N_2(J(6,3)) = 8: length 7 refuted in {short.nodes_explored} "
+                   f"nodes ({time.time() - start:.1f}s)")
 
 
 def test_criterion_6_census_matches_published_table():
@@ -244,3 +269,18 @@ def test_criterion_10_solver_equals_brute_force():
     elapsed = time.time() - start
     _report(10, elapsed < 600,
             f"solver == pruning-free oracle on {checked} (graph, r) cases ({elapsed:.1f}s)")
+
+
+@opt_in
+def test_criterion_10_opt_in_r4():
+    start = time.time()
+    checked = 0
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            dist = [[int(x) for x in row] for row in bfs_distances(g)]
+            res = solve_N(SearchConfig(graph=g, r=4))
+            want = brute_force_solve(dist, 4)
+            assert res.value == want, f"n={n} r=4: {res.value} != {want}"
+            checked += 1
+    _report(10, True, f"solver == pruning-free oracle on {checked} graphs at r=4 "
+                      f"({time.time() - start:.1f}s)")

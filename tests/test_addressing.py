@@ -91,17 +91,19 @@ def test_distance_filter_agrees_with_kernel(r):
 @pytest.mark.parametrize("r", range(2, 11))
 def test_canonical_step_agrees_with_string_oracle(r):
     # The packed step must reject a row exactly when the string oracle
-    # rejects the prefix with that row appended.  Prefixes run to six rows,
-    # deeper than the search's three anchors.  Digits at row k are drawn
-    # below k + 1, the most a canonical column can use, and half the words
-    # are sorted (* last), so that deep canonical prefixes occur at all.
+    # rejects the prefix with that row appended.  The search takes the step
+    # on every word of its path (down to depth n - 1, 14 for C_15), so
+    # prefixes run to 16 rows, deep enough for a column's digit count to
+    # reach r at every alphabet.  Digits at row k are drawn below k + 1, the
+    # most a canonical column can use, and half the words are sorted (*
+    # last), so that deep canonical prefixes occur at all.
     rng = random.Random(200 + r)
-    depths = [0] * 7
+    depths = [0] * 17
     for length in range(1, 12):
         start, step = canonical_step(length, r)
         for _ in range(25):
             rows, state = [], start
-            for _ in range(12):
+            for _ in range(40):
                 alphabet = "*" + "0123456789"[: min(r, len(rows) + 1)]
                 word = [rng.choice(alphabet) for _ in range(length)]
                 if rng.random() < 0.5:
@@ -113,7 +115,7 @@ def test_canonical_step_agrees_with_string_oracle(r):
                     rows.append(word)
                     state = new
                     depths[len(rows)] += 1
-                    if len(rows) == 6:
+                    if len(rows) == 16:
                         break
     assert min(depths[1:]) >= 20, depths
 

@@ -12,6 +12,7 @@ from squashcube.graphs import (
     cycle_graph,
     emit_graph6,
     is_connected,
+    johnson_graph,
     petersen_graph,
     random_graph,
 )
@@ -74,12 +75,36 @@ def test_node_limit_gives_inconclusive_result():
     assert res.lower == 5 and res.upper == 9
 
 
-def test_matches_brute_force_oracle_n4():
-    for n in range(1, 5):
-        for g in connected_graphs(n):
-            dist = [[int(x) for x in row] for row in bfs_distances(g)]
-            for r in (2, 3):
+def test_matches_brute_force_oracle():
+    # Every connected graph of order <= 5 at r = 2 and 3, and of order <= 4
+    # at r = 4; the order-5 sweep at r = 4 is an opt-in acceptance case.
+    for r, top in ((2, 5), (3, 5), (4, 4)):
+        for n in range(1, top + 1):
+            for g in connected_graphs(n):
+                dist = [[int(x) for x in row] for row in bfs_distances(g)]
                 assert solve_N(SearchConfig(graph=g, r=r)).value == brute_force_solve(dist, r)
+
+
+def test_N_r_does_not_grow_with_r():
+    # A word over r symbols is also a word over r + 1, so N_{r+1} <= N_r.
+    graphs = [cycle_graph(n) for n in (5, 6, 7, 8, 9, 10, 11)] + [
+        complete_multipartite(sizes) for sizes in ([2, 2, 2], [3, 2, 2], [3, 3, 1])
+    ]
+    for g in graphs:
+        values = [solve_N(SearchConfig(graph=g, r=r)).value for r in range(2, 6)]
+        assert values == sorted(values, reverse=True), (g.n, values)
+
+
+def test_johnson_k2_construction_is_optimal_for_n4_and_n5():
+    # The paper's claim that k(n-k) is optimal for k = 2 at n = 4, 5:
+    # length 5 is refuted for J(5,2), and the solver returns 4 and 6.
+    out = feasible_at_length(SearchConfig(graph=johnson_graph(5, 2), r=2), 5)
+    assert (out.feasible, out.exhausted) == (False, True)
+    for n, expected in ((4, 4), (5, 6)):
+        g = johnson_graph(n, 2)
+        res = solve_N(SearchConfig(graph=g, r=2))
+        assert (res.value, res.exhausted) == (expected, True)
+        assert verify_addressing(bfs_distances(g), res.addressing) == []
 
 
 def test_large_alphabet_fallback_packing():
@@ -161,28 +186,35 @@ def test_node_counts_and_witnesses_are_pinned():
     # a change to either shows up here.
     pet = SearchConfig(graph=petersen_graph(), r=2)
     out = feasible_at_length(pet, 5)
-    assert (out.feasible, out.exhausted, out.nodes_explored) == (False, True, 599)
+    assert (out.feasible, out.exhausted, out.nodes_explored) == (False, True, 590)
     out = feasible_at_length(pet, 6)
-    assert out.nodes_explored == 53
+    assert out.nodes_explored == 43
     assert out.addressing.words == (
-        "00****", "10**00", "11000*", "11001*", "10**11",
-        "0110**", "1111*0", "111001", "111010", "1111*1",
+        "00****", "01**00", "11000*", "11001*", "01**11",
+        "1001**", "1111*0", "110101", "110110", "1111*1",
     )
+    petersen_r4 = ("00**", "3*00", "11**", "12*1", "021*",
+                   "20*1", "2200", "211*", "2201", "2210")
     cases = [
-        (cycle_graph(9), 3, 41,
-         ("0000*", "00010", "10010", "11010", "1111*",
-          "1112*", "21*21", "0*221", "00021")),
-        (complete_multipartite([3, 2, 2]), 2, 128,
-         ("00***", "1100*", "1111*", "10***", "01**0", "*1101", "*1011")),
+        (cycle_graph(9), 3, 44,
+         ("0000*", "00010", "00110", "01110", "1111*",
+          "1112*", "21*21", "*2021", "00021")),
+        (complete_multipartite([3, 2, 2]), 2, 127,
+         ("00***", "1100*", "1111*", "01***", "10**0", "1*011", "1*101")),
         (cycle_graph(5), 5, 36, ("00*", "010", "11*", "12*", "021")),
-        # r=4: the only pinned case with digit 3, both bitplanes set.
-        (petersen_graph(), 4, 4068,
-         ("00**", "3*00", "11**", "211*", "20*1",
-          "021*", "2200", "12*1", "2210", "2201")),
+        # r=4: the first pinned case with digit 3, both bitplanes set.
+        (petersen_graph(), 4, 451, petersen_r4),
+        # r >= 5: unused digits are interchangeable at every depth, so the
+        # tree grows only slowly with r.
+        (petersen_graph(), 5, 956, petersen_r4),
+        (petersen_graph(), 6, 1659, petersen_r4),
+        (petersen_graph(), 7, 2620, petersen_r4),
     ]
     for graph, r, nodes, words in cases:
         res = solve_N(SearchConfig(graph=graph, r=r))
+        assert (res.value, res.exhausted) == (len(words[0]), True)
         assert (res.nodes_explored, res.addressing.words) == (nodes, words)
+        assert verify_addressing(bfs_distances(graph), res.addressing) == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
