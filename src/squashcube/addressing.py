@@ -13,9 +13,10 @@ One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
 
 Three helpers are built once per word shape (length, r): distance_kernel
-gives pdist(a, b) for single pairs, distance_filter gives at(words, w, t)
-for the search's candidate lists, and canonical_step gives the search's
-row-by-row lex-leader test.  Nothing outside this module knows the layout.
+gives pdist(a, b) for single pairs and serves verification only,
+distance_filter gives at(words, w, t) for every candidate list of the
+search, and canonical_step gives the search's row-by-row lex-leader test.
+Nothing outside this module knows the layout.
 """
 
 import json
@@ -176,7 +177,7 @@ def weight(word):
 class Addressing:
     """An assignment of equal-length words over {0..r-1, *} to vertices 0..n-1."""
 
-    __slots__ = ("r", "length", "words", "_packed")
+    __slots__ = ("r", "length", "words")
 
     def __init__(self, r, length, words):
         if not 2 <= r <= MAX_ALPHABET:
@@ -189,16 +190,10 @@ class Addressing:
         self.r = r
         self.length = length
         self.words = words
-        self._packed = None
 
     @property
     def n(self):
         return len(self.words)
-
-    def packed(self):
-        if self._packed is None:
-            self._packed = [pack_word(w, self.r) for w in self.words]
-        return self._packed
 
     def __eq__(self, other):
         return (
@@ -218,7 +213,7 @@ def verify_addressing(dist, adr):
     n = len(dist)
     if adr.n != n:
         raise ValueError(f"addressing covers {adr.n} vertices, matrix has {n}")
-    packed = adr.packed()
+    packed = [pack_word(w, adr.r) for w in adr.words]
     pdist = distance_kernel(adr.length, adr.r)
     violations = []
     for u in range(n):

@@ -124,7 +124,7 @@ class OneTwoCover:
     pieces: tuple    # of (side_a, side_b) vertex tuples
 
 
-def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
+def one_two_cover(k, minimum=False):
     """One-or-two cover of K_k with at most ceil(2*sqrt(k)) pieces, by exact
     backtracking; the search itself independently confirms that published
     bound at small k.
@@ -136,8 +136,8 @@ def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if k > cap:
-        raise CapabilityError(f"one-or-two cover search capped at {cap} (k={k})")
+    if k > ONE_TWO_COVER_CAP:
+        raise CapabilityError(f"one-or-two cover search capped at {ONE_TWO_COVER_CAP} (k={k})")
 
     pair_ids = {}
     for i in range(k):
@@ -186,7 +186,7 @@ def one_two_cover(k, cap=ONE_TWO_COVER_CAP, minimum=False):
         return None
 
     cap_budget = ceil_two_sqrt(k)
-    start = max(1, math.ceil(math.log2(k))) if minimum else cap_budget
+    start = max(1, (k - 1).bit_length()) if minimum else cap_budget
     for budget in range(start, cap_budget + 1):
         found = extend(0, 0, [], budget)
         if found is not None:

@@ -5,7 +5,6 @@ Vertices are always 0..n-1.  Johnson graph vertices are k-subsets of
 class by class.
 """
 
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -156,55 +155,55 @@ def random_graph(n, seed):
 # ---------------------------------------------------------------------------
 # distances
 
-def is_connected(g):
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
-
-
-def bfs_distances(g):
-    """All-pairs shortest path matrix (int32).  Raises on disconnected input.
+def _bfs_row(masks, src):
+    """Distances from src, -1 where a vertex is unreachable.
 
     Level-synchronous BFS on neighbour bitmasks: each level ORs the masks of
     the frontier and keeps the bits not yet seen.
     """
+    n = len(masks)
+    everyone = (1 << n) - 1
+    row = [-1] * n
+    row[src] = 0
+    seen = 1 << src
+    frontier = [src]
+    level = 0
+    while frontier and seen != everyone:
+        level += 1
+        reach = 0
+        for u in frontier:
+            reach |= masks[u]
+        new = reach & ~seen
+        seen |= new
+        frontier = []
+        while new:
+            low = new & -new
+            v = low.bit_length() - 1
+            row[v] = level
+            frontier.append(v)
+            new ^= low
+    return row
+
+
+def is_connected(g):
+    return g.n <= 1 or -1 not in _bfs_row([sum(1 << v for v in a) for a in g.adj], 0)
+
+
+def bfs_distances(g):
+    """All-pairs shortest path matrix (int32), one `_bfs_row` per source.
+
+    Raises DisconnectedGraphError naming vertex 0 and the smallest vertex it
+    cannot reach on disconnected input.
+    """
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no distance matrix")
-    masks = [sum(1 << v for v in g.adj[u]) for u in range(n)]
-    everyone = (1 << n) - 1
+    masks = [sum(1 << v for v in a) for a in g.adj]
     rows = []
     for src in range(n):
-        row = [-1] * n
-        row[src] = 0
-        seen = 1 << src
-        frontier = [src]
-        level = 0
-        while frontier and seen != everyone:
-            level += 1
-            reach = 0
-            for u in frontier:
-                reach |= masks[u]
-            new = reach & ~seen
-            seen |= new
-            frontier = []
-            while new:
-                low = new & -new
-                v = low.bit_length() - 1
-                row[v] = level
-                frontier.append(v)
-                new ^= low
-        if seen != everyone:
-            missing = everyone & ~seen
-            raise DisconnectedGraphError(src, (missing & -missing).bit_length() - 1)
+        row = _bfs_row(masks, src)
+        if -1 in row:
+            raise DisconnectedGraphError(src, row.index(-1))
         rows.append(row)
     return np.array(rows, dtype=np.int32)
 
@@ -280,10 +279,8 @@ def emit_graph6(g):
     n = g.n
     if n <= 62:
         head = bytes([n + 63])
-    elif n <= 258047:
+    else:                                   # n <= MAX_VERTICES fits in 18 bits
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    else:
-        raise ValueError("graph too large for this encoder")
     bits = []
     for j in range(1, n):
         for i in range(j):

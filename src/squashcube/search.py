@@ -14,7 +14,9 @@ Three prunings keep the tree small, all sound and none affecting the verdict:
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the
-    one- and two-point stabilizers.
+    one- and two-point stabilizers.  The floors ride the path: an anchor
+    passes its raised floors down the recursion in a new dict, so nothing
+    is saved or restored on the way back.
 
 The lex-leader pruning is sound at every depth, under the dynamic vertex
 order too.  Take the partial assignment P on the path and a solution S that
@@ -28,18 +30,19 @@ solution survives down to a leaf.
 
 One recursion does all the work, from the root down.  The root's
 candidates are the words 0^wt *^(L-wt) for wt from the first anchor's
-eccentricity to L.  Once the first anchor has its word, one
-meet-in-the-middle join over half-words builds, for each distance that some
-vertex needs, the sorted list of all words at that distance (so the full
-symbol space is never materialized); vertices at equal distance from the
-first anchor share one list, which is safe because lists are never mutated,
-only filtered into new ones.  Below the root, every assignment filters each
-remaining vertex's list by its distance to the new word with the per-shape
-filter `addressing.distance_filter`, built once per length (one list
-comprehension per list, with no call per word); vertices holding the same
-list at the same distance get one shared filtered list.  The vertex with
-the fewest candidates is assigned next.  Every witness is re-verified
-before it is returned.
+eccentricity to L.  Every list, at the root and below it, goes through one
+per-shape filter, `addressing.distance_filter`, built once per length (one
+list comprehension per list, with no call per word).  Once the first anchor
+has its word, the filter buckets the low and the high half-words by their
+distance to it, and one meet-in-the-middle join of the buckets builds, for
+each distance that some vertex needs, the sorted list of all words at that
+distance (so the full symbol space is never materialized); vertices at
+equal distance from the first anchor share one list, which is safe because
+lists are never mutated, only filtered into new ones.  Below the root,
+every assignment filters each remaining vertex's list by its distance to
+the new word; vertices holding the same list at the same distance get one
+shared filtered list.  The vertex with the fewest candidates is assigned
+next.  Every witness is re-verified before it is returned.
 """
 
 import multiprocessing
@@ -55,7 +58,6 @@ from .addressing import (
     canonical_step,
     check_addressing,
     distance_filter,
-    distance_kernel,
     pack_word,
     unpack_word,
 )
@@ -125,7 +127,7 @@ class _Searcher:
         n, dist = self.n, self.dist
         if self.cfg.first_vertices is not None:
             chosen = list(self.cfg.first_vertices)[: min(3, n)]
-            if len(set(chosen)) != len(chosen) or any(
+            if not chosen or len(set(chosen)) != len(chosen) or any(
                 not 0 <= v < n for v in chosen
             ):
                 raise ValueError(f"bad first_vertices {self.cfg.first_vertices}")
@@ -172,7 +174,6 @@ class _Searcher:
 
         r = self.r
         care = (1 << length) - 1     # the care bits; their popcount is the weight
-        pdist = distance_kernel(length, r)
         at = distance_filter(length, r)
         start, step = canonical_step(length, r)
         dist = self.dist
@@ -190,18 +191,16 @@ class _Searcher:
 
         def words_at(w, targets):
             """The sorted words at each target distance from w, joined from
-            half-words with the high halves bucketed once by distance."""
-            by_high = {}
-            for h in high:
-                by_high.setdefault(pdist(h, w), []).append(h)
-            out = {t: [] for t in targets}
-            for lo in low:
-                dl = pdist(lo, w)
-                for t, lst in out.items():
-                    lst.extend(lo | h for h in by_high.get(t - dl, ()))
-            for lst in out.values():
-                lst.sort()
-            return out
+            the half-words bucketed by their distance to w."""
+            top = range(max(targets) + 1)
+            by_low = [at(low, w, d) for d in top]
+            by_high = [at(high, w, d) for d in top]
+            return {
+                t: sorted(
+                    lo | h for d in range(t + 1) for lo in by_low[d] for h in by_high[t - d]
+                )
+                for t in targets
+            }
 
         def children(v, cand, lists, depth):
             """Every other vertex's candidates once v has cand; None if one runs dry.
@@ -231,11 +230,11 @@ class _Searcher:
                     out[u] = flt
             return out
 
-        # Weight floors from automorphism orbits, raised as anchors get words.
-        floor_of = {}
         witness = {}
 
-        def dfs(lists, state, depth):
+        def dfs(lists, state, floors, depth):
+            """floors: the weight floors from automorphism orbits, raised as
+            the anchors get words."""
             nonlocal nodes
             if not lists:
                 return True
@@ -243,7 +242,7 @@ class _Searcher:
                 v = anchors[depth]
             else:
                 v = min(lists, key=lambda u: (len(lists[u]), u))
-            floor = floor_of.get(v, 0)
+            floor = floors.get(v, 0)
             members = self.orbit_floors.get(depth, ())
             for cand in lists[v]:
                 nodes += 1
@@ -259,13 +258,11 @@ class _Searcher:
                 if new_lists is None:
                     continue
                 witness[v] = cand
-                saved = [(u, floor_of.get(u, 0)) for u in members]
-                for u, old in saved:
-                    floor_of[u] = max(old, wt)
-                if dfs(new_lists, new_state, depth + 1):
+                below = floors
+                if members:
+                    below = {**floors, **{u: max(floors.get(u, 0), wt) for u in members}}
+                if dfs(new_lists, new_state, below, depth + 1):
                     return True
-                floor_of.update(saved)
-                del witness[v]
             return False
 
         v1 = anchors[0]
@@ -273,7 +270,7 @@ class _Searcher:
             sum(s[0] for s in single[:wt]) for wt in range(max(dist[v1]), length + 1)
         ]
         try:
-            found = dfs({v1: roots}, start, 0)
+            found = dfs({v1: roots}, start, {}, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 

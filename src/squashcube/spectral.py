@@ -22,7 +22,6 @@ keep every entry a minor of A, so by Sylvester's identity each division is
 exact; a nonzero remainder is reported as a self-check failure.
 """
 
-import math
 from dataclasses import dataclass
 
 from .addressing import require_valid
@@ -144,7 +143,7 @@ def lower_bound(dist, r=2):
     n = ine.dimension
     eigen_r2 = max(ine.n_plus, ine.n_minus)
     eigen_r = max(ine.n_plus, -(-ine.n_minus // (r - 1)))
-    log2_bound = math.ceil(math.log2(n)) if n > 1 else 0
+    log2_bound = max(n - 1, 0).bit_length()          # the least b with 2^b >= n
     best = max(eigen_r, log2_bound) if r == 2 else eigen_r
     return BoundReport(n, r, ine, eigen_r2, eigen_r, log2_bound, best)
 

@@ -192,6 +192,25 @@ def test_bfs_matches_independent_bfs():
         assert d.tolist() == simple_bfs_all_pairs(n, edges), (n, len(edges))
 
 
+def test_is_connected_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    graphs = []
+    for n in range(1, 41):
+        for p in (0.02, 0.08, 0.2, 0.5):
+            edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+            graphs.append(Graph(n, edges))
+        tree = _random_connected_edges(rng, n, 0.1)
+        graphs.append(Graph(n, tree))
+        graphs.append(Graph(n + 1, tree))                      # one isolated vertex
+        graphs.append(Graph(2 * n, tree + [(u + n, v + n) for u, v in tree]))  # two components
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert is_connected(g) == nx.is_connected(h), (g.n, g.edges)
+
+
 def test_bfs_triangle_inequality():
     graphs = [random_graph(18, seed) for seed in range(6)] + [random_graph(30, 1)]
     for g in graphs:

@@ -143,6 +143,8 @@ def test_first_vertices_override():
         feasible_at_length(
             SearchConfig(graph=cycle_graph(6), r=2, first_vertices=(0, 0, 1)), 3
         )
+    with pytest.raises(ValueError):
+        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=()))
 
 
 def test_search_config_rejects_bad_r():

@@ -135,6 +135,15 @@ def test_lower_bound_log2_applies_only_for_r2():
     assert r4.best == r4.eigen_bound_r == max(1, -(-4 // 3))
 
 
+def test_log2_bound_is_the_least_b_with_2_to_the_b_at_least_n():
+    for n in range(1, 65):
+        b = 0
+        while 1 << b < n:
+            b += 1
+        assert lower_bound(bfs_distances(complete_graph(n)), 2).log2_bound == b, n
+    assert lower_bound([], 2).log2_bound == 0
+
+
 def test_lower_bound_rejects_bad_r():
     with pytest.raises(ValueError):
         lower_bound(bfs_distances(complete_graph(3)), 1)
