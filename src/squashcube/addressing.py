@@ -12,15 +12,19 @@ bitplanes of L bits each, plane b holding bit b of every digit in binary.
 One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
 
-Three helpers are built once per word shape (length, r): distance_kernel
-gives pdist(a, b) for single pairs and serves verification only,
-distance_filter gives at(words, w, t) for every candidate list of the
-search, and canonical_step gives the search's row-by-row lex-leader test.
-Nothing outside this module knows the layout.
+Two helpers are built once per word shape (length, r): distance_filter
+gives at(words, w, t), which serves every candidate list of the search and
+verification, and canonical_step gives the search's row-by-row lex-leader
+test.  Outside this module, the search relies on two facts of the layout:
+the care bits are the low L bits, so a word's weight is the popcount of
+w & ((1 << L) - 1), and words with disjoint positions add up to the word
+that carries both (it builds its half-words and root words as such sums).
 """
 
 import json
 from collections import Counter
+
+import numpy as np
 
 from .errors import SelfCheckError
 
@@ -49,34 +53,15 @@ def pack_word(word, r):
     return packed
 
 
-def distance_kernel(length, r):
-    """The distance function pdist(a, b) between packed words of one shape.
-
-    Both words must be packed with this length and alphabet size.  A digit
-    differs where some bitplane of a ^ b is set; the distance counts such
-    positions where both care bits are set.
-    """
-    mask = (1 << length) - 1
-    shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
-
-    def pdist(a, b):
-        d = a ^ b
-        acc = 0
-        for s in shifts:
-            acc |= d >> s
-        return (a & b & acc & mask).bit_count()
-
-    return pdist
-
-
 def distance_filter(length, r):
     """The filter at(words, w, t): the words of `words` at distance t from w.
 
-    The same test as distance_kernel, written inline in one list
-    comprehension so that no call is made per word; the words keep their
-    order.  All words must be packed with this length and alphabet size.
-    One expression per bitplane count: the four-shift one also serves three
-    planes, since a shift past the top plane gives 0.
+    A digit differs where some bitplane of c ^ w is set; the distance counts
+    such positions where both care bits are set.  The test is written inline
+    in one list comprehension so that no call is made per word; the words
+    keep their order.  All words must be packed with this length and
+    alphabet size.  One expression per bitplane count: the four-shift one
+    also serves three planes, since a shift past the top plane gives 0.
     """
     care = (1 << length) - 1
     s1, s2, s3, s4 = (p * length for p in range(1, 5))
@@ -209,20 +194,33 @@ class Addressing:
 
 
 def verify_addressing(dist, adr):
-    """All violating pairs (u, v, expected, got); empty list means valid."""
+    """All violating pairs (u, v, expected, got), in (u, v) order; empty
+    list means valid.
+
+    Each row's pairs v > u are grouped by expected distance and every group
+    goes through the packed filter at once; only in a group that loses a
+    word is each pair's distance taken, with the string definition
+    word_distance.
+    """
     n = len(dist)
     if adr.n != n:
         raise ValueError(f"addressing covers {adr.n} vertices, matrix has {n}")
-    packed = [pack_word(w, adr.r) for w in adr.words]
-    pdist = distance_kernel(adr.length, adr.r)
+    words = adr.words
+    packed = [pack_word(w, adr.r) for w in words]
+    at = distance_filter(adr.length, adr.r)
     violations = []
-    for u in range(n):
-        pu = packed[u]
-        row = dist[u]
+    for u, row in enumerate(np.asarray(dist).tolist()):     # Python ints
+        groups = {}
         for v in range(u + 1, n):
-            got = pdist(pu, packed[v])
-            if got != row[v]:
-                violations.append((u, v, int(row[v]), got))
+            groups.setdefault(row[v], []).append(v)
+        for d, group in groups.items():
+            if len(at([packed[v] for v in group], packed[u], d)) != len(group):
+                violations.extend(
+                    (u, v, d, got)
+                    for v in group
+                    if (got := word_distance(words[u], words[v])) != d
+                )
+    violations.sort()
     return violations
 
 

@@ -1,9 +1,9 @@
 """Command-line surface: build, verify, bound, solve, census, random-demo.
 
 Exit codes: 0 success / 1 invalid result (e.g. verification found
-violations) / 2 bad input / 3 internal self-check failure / 4 precondition
-failed.  All randomness flows from --seed; SQUASHCUBE_NODE_LIMIT provides a
-default node limit for searches.
+violations) / 2 bad input, or input beyond a brute-force cap / 3 internal
+self-check failure / 4 precondition failed.  All randomness flows from
+--seed; SQUASHCUBE_NODE_LIMIT provides a default node limit for searches.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from .constructions import (
     plus_three,
     random_partition,
 )
-from .errors import EmbeddingNotFoundError, PreconditionError, SelfCheckError
+from .errors import CapabilityError, EmbeddingNotFoundError, PreconditionError, SelfCheckError
 from .fixtures import load_fixture
 from .graphs import (
     bfs_distances,
@@ -288,7 +288,8 @@ def main(argv=None):
     except (PreconditionError, EmbeddingNotFoundError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, OSError, KeyError) as exc:   # SpecError is a ValueError
+    # SpecError is a ValueError; CapabilityError is an input beyond a cap
+    except (ValueError, OSError, KeyError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

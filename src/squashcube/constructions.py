@@ -132,10 +132,10 @@ def one_two_cover(k, minimum=False):
     With minimum=True the piece budget is grown from ceil(log2 k) (a valid
     lower bound for any biclique cover of a complete graph) until feasible,
     so the returned cover is smallest possible; that costs real time from
-    k = 7 up.
+    k = 7 up.  k = 1 gives the empty cover: K_1 has no edge.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if k > ONE_TWO_COVER_CAP:
         raise CapabilityError(f"one-or-two cover search capped at {ONE_TWO_COVER_CAP} (k={k})")
 
@@ -284,8 +284,7 @@ def random_partition(g, k, cover=None):
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if cover is None:
-        # k = 1 is the degenerate single-vertex W: K_1 has nothing to cover
-        cover = one_two_cover(k) if k >= 2 else OneTwoCover(1, ())
+        cover = one_two_cover(k)
     elif cover.k != k:
         raise ValueError(f"cover is for k={cover.k}, not {k}")
     h = cover_to_H(cover)

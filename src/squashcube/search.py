@@ -126,12 +126,12 @@ class _Searcher:
     def _pick_anchors(self):
         n, dist = self.n, self.dist
         if self.cfg.first_vertices is not None:
-            chosen = list(self.cfg.first_vertices)[: min(3, n)]
+            chosen = list(self.cfg.first_vertices)
             if not chosen or len(set(chosen)) != len(chosen) or any(
                 not 0 <= v < n for v in chosen
             ):
                 raise ValueError(f"bad first_vertices {self.cfg.first_vertices}")
-            return chosen
+            return chosen[:3]
         if n == 1:
             return [0]
         best = max(

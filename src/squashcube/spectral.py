@@ -1,25 +1,28 @@
 """Exact inertia of symmetric integer matrices and the addressing lower bounds.
 
 Inertia is computed by symmetric congruence elimination in fraction-free
-integer arithmetic (Bareiss's integer-preserving elimination): 1x1 pivots on
-the first nonzero diagonal entry, and a 2x2 block pivot [0 d; d 0]
-(contributing one positive and one negative eigenvalue) on the first nonzero
-off-diagonal pair when the remaining diagonal is all zero.  Congruence
-preserves inertia, so counting pivot signs is exact -- no floating point, no
-eigenvalues.  Distance matrices have zero diagonal, so the 2x2 pivot is the
-first move, not a fallback.
+integer arithmetic (Bareiss's integer-preserving elimination), with one
+pivot rule: a 1x1 pivot on the first nonzero diagonal entry.  When the
+remaining diagonal is all zero, the first nonzero off-diagonal entry
+d = M_pq is first moved onto the diagonal by the congruence "row p += row q,
+then column p += column q", which makes M_pp = 2d.  Congruence preserves
+inertia (Sylvester's law), so counting pivot signs is exact -- no floating
+point, no eigenvalues.  Distance matrices have zero diagonal, so that
+congruence is the first move, not a fallback.
 
 With K the set of eliminated indices, the active matrix holds the bordered
 minors M_ij = det A[K+i, K+j] and D = det A[K, K] (signed; 1 while K is
-empty).  M / D is the Schur complement of A[K, K], so a 1x1 pivot a = M_pp is
-positive exactly when sign(a) == sign(D).  The updates
+empty).  M / D is the Schur complement of A[K, K], so a pivot a = M_pp is
+positive exactly when sign(a) == sign(D).  The update
 
-    1x1 pivot a:        M_ij <- (a M_ij - M_ip M_pj) / D,                D <- a
-    2x2 pivot d = M_pq: M_ij <- (-d^2 M_ij + d (M_ip M_qj + M_iq M_pj)) / D^2,
-                        D <- -d^2 / D
+    M_ij <- (a M_ij - M_ip M_pj) / D,        D <- a
 
-keep every entry a minor of A, so by Sylvester's identity each division is
-exact; a nonzero remainder is reported as a self-check failure.
+keeps every entry a bordered minor, so by Sylvester's identity each
+division is exact; a nonzero remainder is reported as a self-check failure.
+The congruence replaces A by E A E^T, where E adds row q to row p (both
+outside K).  That leaves D alone and, a determinant being linear in each
+row and each column, makes every M_ij the bordered minor of E A E^T, so the
+divisions stay exact.
 """
 
 from dataclasses import dataclass
@@ -70,54 +73,35 @@ def inertia(matrix):
     n_plus = n_zero = n_minus = 0
     det = 1
 
-    # Each step removes the pivot rows and columns from m, then rebuilds row
+    # Each step removes the pivot row and column from m, then rebuilds row
     # i from column i on and mirrors columns < i from the rows already done.
     while m:
         p = next((i for i, row in enumerate(m) if row[i]), None)
-        if p is not None:
-            a = m[p][p]
-            if (a > 0) == (det > 0):
-                n_plus += 1
-            else:
-                n_minus += 1
-            prow = m.pop(p)
-            del prow[p]
-            for i, row in enumerate(m):
-                f = row.pop(p)
-                m[i] = [m[j][i] for j in range(i)] + _exact_quotients(
-                    [a * x - f * y for x, y in zip(row[i:], prow[i:])], det
-                )
-            det = a
-            continue
-
-        block = next(
-            ((i, j) for i, row in enumerate(m) for j in range(i + 1, len(row)) if row[j]),
-            None,
-        )
-        if block is None:
-            n_zero += len(m)
-            break
-        p, q = block
-        d = m[p][q]
-        n_plus += 1
-        n_minus += 1
-        qrow = m.pop(q)
-        prow = m.pop(p)
-        for row in (prow, qrow):
-            del row[q]
-            del row[p]
-        det_sq = det * det
-        for i, row in enumerate(m):
-            fq = row.pop(q)
-            fp = row.pop(p)
-            m[i] = [m[j][i] for j in range(i)] + _exact_quotients(
-                [
-                    d * (fp * yq + fq * yp - d * x)
-                    for x, yp, yq in zip(row[i:], prow[i:], qrow[i:])
-                ],
-                det_sq,
+        if p is None:
+            pair = next(
+                ((i, j) for i, row in enumerate(m) for j in range(i + 1, len(row)) if row[j]),
+                None,
             )
-        [det] = _exact_quotients([-d * d], det)
+            if pair is None:
+                n_zero += len(m)
+                break
+            p, q = pair
+            m[p] = [x + y for x, y in zip(m[p], m[q])]
+            for row in m:
+                row[p] += row[q]
+        a = m[p][p]
+        if (a > 0) == (det > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        prow = m.pop(p)
+        del prow[p]
+        for i, row in enumerate(m):
+            f = row.pop(p)
+            m[i] = [m[j][i] for j in range(i)] + _exact_quotients(
+                [a * x - f * y for x, y in zip(row[i:], prow[i:])], det
+            )
+        det = a
 
     return Inertia(n_plus, n_zero, n_minus)
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: inertia comes from
 Sturm sequences over the exact characteristic polynomial, minimum addressing
 lengths from a pruning-free enumeration, the lex-leader test from a column
-by column pass over string rows, distances from a throwaway BFS.
+by column pass over string rows, verification from the string distance
+pair by pair, distances from a throwaway BFS.
 """
 
 from collections import deque
@@ -209,6 +210,21 @@ def is_canonical_prefix(rows):
             return False
         prev = key
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference verification on string words
+
+def reference_violations(dist, words):
+    """Every pair u < v whose word distance is not dist[u][v], as
+    (u, v, expected, got) in (u, v) order."""
+    n = len(words)
+    return [
+        (u, v, int(dist[u][v]), word_distance(words[u], words[v]))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if word_distance(words[u], words[v]) != dist[u][v]
+    ]
 
 
 # ---------------------------------------------------------------------------

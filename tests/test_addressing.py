@@ -11,7 +11,6 @@ from squashcube.addressing import (
     distance_edge_multiset,
     format_addressing,
     distance_filter,
-    distance_kernel,
     pack_word,
     parse_addressing,
     partition_edge_multiset,
@@ -22,10 +21,11 @@ from squashcube.addressing import (
     weight,
     word_distance,
 )
+from squashcube.fixtures import iter_fixtures
 from squashcube.graphs import Graph, bfs_distances, complete_graph, johnson_graph
 from squashcube.johnson import johnson_addressing
 
-from oracles import is_canonical_prefix
+from oracles import is_canonical_prefix, reference_violations
 
 
 def test_word_distance_paper_rows():
@@ -63,29 +63,31 @@ def test_packed_distance_agrees_with_symbol_count(r):
         a = "".join(rng.choice(alphabet) for _ in range(n))
         b = "".join(rng.choice(alphabet) for _ in range(n))
         pa, pb = pack_word(a, r), pack_word(b, r)
-        assert distance_kernel(n, r)(pa, pb) == word_distance(a, b)
+        at = distance_filter(n, r)
+        for t in range(n + 1):
+            assert bool(at([pb], pa, t)) == (t == word_distance(a, b))
         assert unpack_word(pa, n, r) == a
 
 
 @pytest.mark.parametrize("r", range(2, 11))
-def test_distance_filter_agrees_with_kernel(r):
-    # The filter inlines the kernel's test, with one expression per bitplane
-    # count; it must keep exactly the words the kernel puts at distance t,
-    # in their order, for every t from 0 to the length.
+def test_distance_filter_agrees_with_word_distance(r):
+    # The filter has one expression per bitplane count; it must keep exactly
+    # the words that the string definition puts at distance t, in their
+    # order, for every t from 0 to the length.
     rng = random.Random(100 + r)
     alphabet = "*" + "".join(str(d) for d in range(r))
     for length in (1, 2, 5, 7, 13):
-        pdist = distance_kernel(length, r)
         at = distance_filter(length, r)
-        words = [
-            pack_word("".join(rng.choice(alphabet) for _ in range(length)), r)
-            for _ in range(60)
-        ]
-        words[::7] = [pack_word("*" * length, r)] * len(words[::7])
-        for w in words[:12] + [pack_word(str(r - 1) * length, r)]:
+        strings = ["".join(rng.choice(alphabet) for _ in range(length)) for _ in range(60)]
+        strings[::7] = ["*" * length] * len(strings[::7])
+        words = [pack_word(s, r) for s in strings]
+        for s in strings[:12] + [str(r - 1) * length]:
+            w = pack_word(s, r)
             for t in range(length + 1):
                 assert at([], w, t) == []
-                assert at(words, w, t) == [c for c in words if pdist(c, w) == t]
+                assert at(words, w, t) == [
+                    c for c, sc in zip(words, strings) if word_distance(sc, s) == t
+                ]
 
 
 @pytest.mark.parametrize("r", range(2, 11))
@@ -142,6 +144,45 @@ def test_verify_addressing_flags_a_flipped_symbol():
                 broken[v] = word[:j] + "1" + word[j + 1:]
                 assert verify_addressing(d, Addressing(2, 6, broken))
                 return
+
+
+def _corruptions(adr, rng):
+    """Seeded corruptions of a valid addressing, at every alphabet size from
+    adr.r to 10: changed symbols, duplicated words and all-* words."""
+    for r in range(adr.r, 11):
+        symbols = "*" + "0123456789"[:r]
+        for kind in ("symbol", "duplicate", "stars"):
+            words = list(adr.words)
+            for _ in range(rng.randint(1, 3)):
+                v = rng.randrange(adr.n)
+                if kind == "symbol" and adr.length:
+                    j = rng.randrange(adr.length)
+                    words[v] = words[v][:j] + rng.choice(symbols) + words[v][j + 1:]
+                elif kind == "duplicate":
+                    words[v] = words[rng.randrange(adr.n)]
+                else:
+                    words[v] = "*" * adr.length
+            yield Addressing(r, adr.length, words)
+
+
+def test_verify_addressing_equals_the_string_reference():
+    # Verification filters each row's pairs by expected distance and only
+    # measures a pair in a failing group; it must report exactly the
+    # reference's violations, in (u, v) order, for numpy and list matrices.
+    rng = random.Random(41)
+    flagged = 0
+    for name, adr, graph in iter_fixtures():
+        dist = bfs_distances(graph)
+        for d in (dist, dist.tolist()):
+            assert verify_addressing(d, adr) == [], name
+        for bad in _corruptions(adr, rng):
+            want = reference_violations(dist, bad.words)
+            flagged += bool(want)
+            for d in (dist, dist.tolist()):
+                got = verify_addressing(d, bad)
+                assert got == want, (name, bad.words)
+                assert all(type(x) is int for t in got for x in t)
+    assert flagged > 500, flagged
 
 
 def test_verify_addressing_size_mismatch():

@@ -170,6 +170,28 @@ def test_random_demo_precondition_exit_code(capsys):
     pytest.skip("no precondition-violating seed in range")
 
 
+def test_random_demo_degenerate_k1(capsys):
+    # k_threshold(12) is the degenerate k = 1; some seed's G(12, 1/2) has
+    # diameter 2 and common neighbours, and then the demo succeeds.
+    assert k_threshold(12) == 1
+    for seed in range(30):
+        code, out, err = run(capsys, "random-demo", "-n", "12", "--seed", str(seed))
+        assert code in (0, 4), err
+        if code == 0:
+            assert "k=1 cover_pieces=0" in out
+            return
+    pytest.fail("no seed in range(30) gives a diameter-2 G(12, 1/2)")
+
+
+def test_capability_error_exits_2_with_one_error_line(capsys):
+    # k = 10, and the threshold k = 11 at n = 512, exceed the one-or-two
+    # cover's brute-force cap: bad input, not a traceback.
+    for argv in (["-n", "64", "--k", "10"], ["-n", "512"]):
+        code, out, err = run(capsys, "random-demo", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
+
+
 def test_solve_rejects_alphabet_above_ten(capsys):
     code, _, err = run(capsys, "solve", "cycle", "5", "--r", "11")
     assert code == 2 and "alphabet size" in err

@@ -151,8 +151,10 @@ def test_one_two_cover_minimum_small():
 
 
 def test_one_two_cover_limits():
+    # K_1 has no edge, so the empty cover is exact
+    assert one_two_cover(1) == one_two_cover(1, minimum=True) == OneTwoCover(1, ())
     with pytest.raises(ValueError):
-        one_two_cover(1)
+        one_two_cover(0)
     with pytest.raises(CapabilityError):
         one_two_cover(10)
 

@@ -145,6 +145,11 @@ def test_first_vertices_override():
         )
     with pytest.raises(ValueError):
         solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=()))
+    # entries past the three anchors used are checked too
+    with pytest.raises(ValueError):
+        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 99)))
+    with pytest.raises(ValueError):
+        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 0)))
 
 
 def test_search_config_rejects_bad_r():

@@ -82,7 +82,7 @@ def test_inertia_congruence_invariance():
 def _random_symmetric(rng, n, mode):
     a = rng.integers(-3, 4, (n, n))
     a = np.triu(a) + np.triu(a, 1).T
-    if mode == 1:     # zero diagonal: 2x2 pivots first
+    if mode == 1:     # zero diagonal: pair steps first
         np.fill_diagonal(a, 0)
     elif mode == 2:   # negative diagonal, zero leading entry
         np.fill_diagonal(a, -rng.integers(1, 4, n))
@@ -102,6 +102,28 @@ def test_inertia_matches_sturm_oracle_on_random_symmetric_matrices():
         a = _random_symmetric(rng, n, trial % 5)
         ine = inertia(a)
         assert sturm_inertia(a) == (ine.n_plus, ine.n_zero, ine.n_minus), a.tolist()
+
+
+def test_inertia_of_permuted_direct_sums_of_hyperbolic_planes():
+    # [a] + H(d1) + H(d2) + 0, with H(d) = [[0, d], [d, 0]] and |a| > 1,
+    # rows and columns permuted.  a is the only nonzero diagonal entry, so
+    # each H block is reached with a zero diagonal and a divisor D = det of
+    # the eliminated block that is not +-1: every call takes the pair step
+    # twice with divisions that are not trivially exact.
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        a = int(rng.choice([-1, 1]) * rng.integers(2, 10))
+        d1, d2 = (int(rng.choice([-1, 1]) * rng.integers(1, 10)) for _ in range(2))
+        n = 5 + int(rng.integers(0, 4))
+        m = np.zeros((n, n), dtype=int)
+        m[0, 0] = a
+        m[1, 2] = m[2, 1] = d1
+        m[3, 4] = m[4, 3] = d2
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+        want = (2 + (a > 0), n - 5, 2 + (a < 0))
+        ine = inertia(m)
+        assert (ine.n_plus, ine.n_zero, ine.n_minus) == sturm_inertia(m) == want, m.tolist()
 
 
 def test_inertia_johnson_distance_matrices():
