@@ -1,7 +1,7 @@
 """Command-line surface: build, verify, bound, solve, census, random-demo.
 
 Exit codes: 0 success / 1 invalid result (e.g. verification found
-violations) / 2 bad input, or input beyond a brute-force cap / 3 internal
+violations) / 2 bad input, or input beyond a size cap / 3 internal
 self-check failure / 4 precondition failed.  All randomness flows from
 --seed; SQUASHCUBE_NODE_LIMIT provides a default node limit for searches.
 """
@@ -202,7 +202,7 @@ def cmd_random_demo(args):
     graph = random_graph(args.n, args.seed)
     k = args.k if args.k is not None else k_threshold(args.n)
     cover = one_two_cover(k)
-    parts = random_partition(graph, k, cover=cover)
+    parts = random_partition(graph, k)
     print(f"n={args.n} seed={args.seed} k={k} cover_pieces={len(cover.pieces)}")
     print(f"partition_size={len(parts)} bound={args.n - k + ceil_two_sqrt(k) + 1}")
     return EXIT_OK

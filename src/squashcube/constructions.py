@@ -1,6 +1,6 @@
 """Addressing constructions: multipartite blow-ups, vertex tripling, class
-merging, and the one-or-two biclique cover route to partitions of dense
-random graphs.
+merging, and partitions of dense random graphs built from an explicit
+one-or-two biclique cover of K_k (the grid cover of `one_two_cover`).
 
 Nothing here is trusted: every constructed addressing or partition is
 re-verified against BFS distances before it is returned.
@@ -19,7 +19,6 @@ from .addressing import (
     require_valid,
 )
 from .errors import (
-    CapabilityError,
     DisconnectedGraphError,
     EmbeddingNotFoundError,
     PreconditionError,
@@ -27,8 +26,6 @@ from .errors import (
 )
 from .graphs import Graph, bfs_distances, complete_multipartite, kam_graph, multipartite_classes
 from .johnson import johnson_addressing
-
-ONE_TWO_COVER_CAP = 9
 
 
 def _checked(adr, graph, what):
@@ -124,76 +121,33 @@ class OneTwoCover:
     pieces: tuple    # of (side_a, side_b) vertex tuples
 
 
-def one_two_cover(k, minimum=False):
-    """One-or-two cover of K_k with at most ceil(2*sqrt(k)) pieces, by exact
-    backtracking; the search itself independently confirms that published
-    bound at small k.
+def one_two_cover(k):
+    """One-or-two cover of K_k by a+b-2 <= ceil(2*sqrt(k)) bicliques.
 
-    With minimum=True the piece budget is grown from ceil(log2 k) (a valid
-    lower bound for any biclique cover of a complete graph) until feasible,
-    so the returned cover is smallest possible; that costs real time from
-    k = 7 up.  k = 1 gives the empty cover: K_1 has no edge.
+    The k vertices fill an a x b grid row by row, a = ceil(sqrt(k)) and
+    b = ceil(k/a).  Each row but the last gives the piece (that row, the
+    rows below it), each column but the last the piece (that column, the
+    columns right of it).  A pair in different rows is covered by exactly
+    one row piece, a pair in different columns by exactly one column piece,
+    and two cells never share both; so a pair that shares a row or a column
+    is covered once and every other pair twice.  The once-covered graph H
+    is the rook's graph on the filled cells.  k = 1 gives the empty cover:
+    K_1 has no edge.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > ONE_TWO_COVER_CAP:
-        raise CapabilityError(f"one-or-two cover search capped at {ONE_TWO_COVER_CAP} (k={k})")
-
-    pair_ids = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair_ids[i, j] = len(pair_ids)
-    full = (1 << len(pair_ids)) - 1
-
-    bicliques = []
-    verts = list(range(k))
-    # Every assignment of vertices to side A / side B / neither, up to swap.
-    for assign in itertools.product((0, 1, 2), repeat=k):
-        a = tuple(v for v in verts if assign[v] == 0)
-        b = tuple(v for v in verts if assign[v] == 1)
-        if not a or not b or a[0] > b[0]:
-            continue
-        mask = 0
-        for u in a:
-            for v in b:
-                mask |= 1 << pair_ids[min(u, v), max(u, v)]
-        bicliques.append((mask, a, b))
-
-    by_edge = [[] for _ in pair_ids]
-    for entry in sorted(bicliques, key=lambda e: -e[0].bit_count()):
-        mask = entry[0]
-        for e in range(len(pair_ids)):
-            if (mask >> e) & 1:
-                by_edge[e].append(entry)
-
-    max_piece = (k // 2) * ((k + 1) // 2)
-
-    def extend(once, twice, chosen, budget):
-        if once == full:
-            return list(chosen)
-        missing = (~once & full).bit_count()
-        if budget == 0 or missing > budget * max_piece:
-            return None
-        e = ((~once & full) & -(~once & full)).bit_length() - 1
-        for mask, a, b in by_edge[e]:
-            if mask & twice:
-                continue
-            chosen.append((a, b))
-            got = extend(once | mask, twice | (once & mask), chosen, budget - 1)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    cap_budget = ceil_two_sqrt(k)
-    start = max(1, (k - 1).bit_length()) if minimum else cap_budget
-    for budget in range(start, cap_budget + 1):
-        found = extend(0, 0, [], budget)
-        if found is not None:
-            cover = OneTwoCover(k, tuple(found))
-            _check_cover(cover)
-            return cover
-    raise SelfCheckError(f"no one-or-two cover of K_{k} within ceil(2*sqrt(k)) pieces")
+    a = math.isqrt(k - 1) + 1
+    b = -(-k // a)
+    rows = [tuple(range(i, min(i + b, k))) for i in range(0, k, b)]
+    cols = [tuple(range(j, k, b)) for j in range(b)]
+    pieces = [
+        (lines[i], tuple(v for line in lines[i + 1:] for v in line))
+        for lines in (rows, cols)
+        for i in range(len(lines) - 1)
+    ]
+    cover = OneTwoCover(k, tuple(pieces))
+    _check_cover(cover)
+    return cover
 
 
 def _check_cover(cover):
@@ -259,7 +213,7 @@ def k_threshold(n):
     return best
 
 
-def random_partition(g, k, cover=None):
+def random_partition(g, k):
     """Partition of the distance multigraph of a diameter-2 graph into at
     most n - k + ceil(2*sqrt(k)) + 1 multipartite pieces.
 
@@ -276,17 +230,14 @@ def random_partition(g, k, cover=None):
         raise PreconditionError(str(exc)) from exc
     if dist.max() != 2:
         raise PreconditionError(f"graph diameter is {int(dist.max())}, need exactly 2")
+    # A pair at distance 2 has a common neighbour; test the adjacent pairs.
+    masks = [sum(1 << v for v in a) for a in g.adj]
     for u in range(n):
-        for v in range(u + 1, n):
-            if not (g.adj[u] & g.adj[v]):
+        for v in sorted(g.adj[u]):
+            if v > u and not masks[u] & masks[v]:
                 raise PreconditionError(f"vertices {u},{v} have no common neighbor")
 
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if cover is None:
-        cover = one_two_cover(k)
-    elif cover.k != k:
-        raise ValueError(f"cover is for k={cover.k}, not {k}")
+    cover = one_two_cover(k)
     h = cover_to_H(cover)
     phi = induced_embedding(g, h)
     if phi is None:

@@ -21,7 +21,6 @@ from squashcube.constructions import (
     blow_up,
     ceil_two_sqrt,
     k_threshold,
-    one_two_cover,
     plus_three,
     random_partition,
 )
@@ -235,13 +234,12 @@ def test_criterion_9_random_partition_20_seeds():
     start = time.time()
     n = 64
     k = k_threshold(n)
-    cover = one_two_cover(k)
     bound = n - k + ceil_two_sqrt(k) + 1
     succeeded, failed = 0, 0
     for seed in range(20):
         g = random_graph(n, seed)
         try:
-            parts = random_partition(g, k, cover=cover)
+            parts = random_partition(g, k)
         except (PreconditionError, EmbeddingNotFoundError) as exc:
             failed += 1
             print(f"  seed {seed}: reported failure: {exc}")

@@ -183,18 +183,33 @@ def test_random_demo_degenerate_k1(capsys):
     pytest.fail("no seed in range(30) gives a diameter-2 G(12, 1/2)")
 
 
-def test_capability_error_exits_2_with_one_error_line(capsys):
-    # k = 10, and the threshold k = 11 at n = 512, exceed the one-or-two
-    # cover's brute-force cap: bad input, not a traceback.
+def test_random_demo_past_the_old_cover_cap(capsys):
+    # k = 10, and the threshold k = 11 at n = 512, have explicit grid covers
     for argv in (["-n", "64", "--k", "10"], ["-n", "512"]):
         code, out, err = run(capsys, "random-demo", *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
+        assert code == 0 and err == ""
+        fields = dict(f.split("=") for f in out.splitlines()[1].split())
+        assert int(fields["partition_size"]) <= int(fields["bound"])
+
+
+def test_capability_error_exits_2_with_one_error_line(capsys, monkeypatch):
+    # An input beyond a size cap of the library is bad input, not a traceback.
+    import squashcube.cli
+    from squashcube.errors import CapabilityError
+
+    def capped(n, seed):
+        raise CapabilityError(f"symmetry search capped at 12 vertices (n={n})")
+
+    monkeypatch.setattr(squashcube.cli, "random_graph", capped)
+    code, out, err = run(capsys, "random-demo", "-n", "64")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "capped" in err
 
 
 def test_solve_rejects_alphabet_above_ten(capsys):
-    code, _, err = run(capsys, "solve", "cycle", "5", "--r", "11")
-    assert code == 2 and "alphabet size" in err
+    code, out, err = run(capsys, "solve", "cycle", "5", "--r", "11")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "alphabet size" in err
 
 
 def test_library_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -20,13 +21,14 @@ from squashcube.constructions import (
     plus_three,
     random_partition,
 )
-from squashcube.errors import CapabilityError, EmbeddingNotFoundError, PreconditionError
+from squashcube.errors import EmbeddingNotFoundError, PreconditionError
 from squashcube.fixtures import load_fixture
 from squashcube.graphs import (
     Graph,
     bfs_distances,
     complete_graph,
     complete_multipartite,
+    connected_graphs,
     cycle_graph,
     kam_graph,
     petersen_graph,
@@ -70,6 +72,11 @@ def test_blow_up_appendix_fixtures():
 def test_plus_three_k221():
     out = plus_three(K221_BASE, [2, 2, 1], 0, 0)
     assert out.length == 6   # matches the optimum a + b - 1 for K_{5,2,1}
+    assert verify_addressing(bfs_distances(complete_multipartite([5, 2, 1])), out) == []
+    # the bundled K_{2,2,1} table row grows the same way
+    k221 = load_fixture("multipartite/k_2_2_1")[0]
+    out = plus_three(k221, [2, 2, 1], 0, 0)
+    assert out.length == 6 == 5 + 2 - 1
     assert verify_addressing(bfs_distances(complete_multipartite([5, 2, 1])), out) == []
 
 
@@ -130,10 +137,16 @@ def _coverage_counter(cover):
     return counts
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+def _grid_shape(k):
+    a = math.isqrt(k - 1) + 1
+    return a, -(-k // a)
+
+
+@pytest.mark.parametrize("k", range(1, 65))
 def test_one_two_cover_meets_bound(k):
     cover = one_two_cover(k)
-    assert len(cover.pieces) <= ceil_two_sqrt(k)
+    a, b = _grid_shape(k)
+    assert len(cover.pieces) == a + b - 2 <= ceil_two_sqrt(k)
     counts = _coverage_counter(cover)
     for i in range(k):
         for j in range(i + 1, k):
@@ -146,17 +159,16 @@ def test_one_two_cover_k2():
 
 
 def test_one_two_cover_minimum_small():
-    assert len(one_two_cover(4, minimum=True).pieces) == 2
-    assert len(one_two_cover(5, minimum=True).pieces) == 3
+    # any biclique cover of K_k needs ceil(log2 k) pieces; the grid meets it
+    for k in (1, 2, 3, 4, 5, 6, 9):
+        assert len(one_two_cover(k).pieces) == (k - 1).bit_length()
 
 
 def test_one_two_cover_limits():
     # K_1 has no edge, so the empty cover is exact
-    assert one_two_cover(1) == one_two_cover(1, minimum=True) == OneTwoCover(1, ())
+    assert one_two_cover(1) == OneTwoCover(1, ())
     with pytest.raises(ValueError):
         one_two_cover(0)
-    with pytest.raises(CapabilityError):
-        one_two_cover(10)
 
 
 def test_cover_to_H():
@@ -171,6 +183,13 @@ def test_cover_to_H():
     counts = _coverage_counter(cover)
     for (i, j), c in counts.items():
         assert h.has_edge(i, j) == (c == 1)
+    # the grid cover's H is the rook's graph on the filled cells
+    for k in (7, 10, 16):
+        h = cover_to_H(one_two_cover(k))
+        _, b = _grid_shape(k)
+        for i in range(k):
+            for j in range(i + 1, k):
+                assert h.has_edge(i, j) == (i // b == j // b or i % b == j % b)
 
 
 def test_induced_embedding():
@@ -194,11 +213,10 @@ def test_k_threshold_nondecreasing():
 
 def test_random_partition_n64():
     k = k_threshold(64)
-    cover = one_two_cover(k)
     bound = 64 - k + ceil_two_sqrt(k) + 1
     for seed in range(3):
         g = random_graph(64, seed)
-        parts = random_partition(g, k, cover=cover)
+        parts = random_partition(g, k)
         assert len(parts) <= bound
         # independent multiset check on top of the internal one
         assert partition_edge_multiset(parts) == distance_edge_multiset(bfs_distances(g))
@@ -227,7 +245,23 @@ def test_random_partition_preconditions():
         random_partition(cycle_graph(7), 2)             # diameter 3
 
 
-def test_random_partition_rejects_mismatched_cover():
-    g = random_graph(64, 0)
-    with pytest.raises(ValueError):
-        random_partition(g, 5, cover=one_two_cover(4))
+def test_random_partition_names_the_first_pair_without_common_neighbour():
+    # the bitmask test of adjacent pairs reports the same first pair as
+    # intersecting the neighbourhoods of every pair in (u, v) order
+    named = 0
+    for g in connected_graphs(6):
+        if bfs_distances(g).max() != 2:
+            continue
+        lonely = [(u, v) for u in range(6) for v in range(u + 1, 6)
+                  if not g.adj[u] & g.adj[v]]
+        try:
+            random_partition(g, 2)
+            got = None
+        except PreconditionError as exc:
+            got = str(exc)
+            named += 1
+        except EmbeddingNotFoundError:
+            got = None
+        assert got == ("vertices {},{} have no common neighbor".format(*lonely[0])
+                       if lonely else None)
+    assert named > 10
