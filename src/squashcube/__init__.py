@@ -9,11 +9,10 @@ from .addressing import (
     Addressing,
     addressing_from_json,
     addressing_to_json,
-    distance_edge_multiset,
     format_addressing,
     load_addressing,
     parse_addressing,
-    partition_edge_multiset,
+    partition_coverage,
     partition_to_addressing,
     save_addressing,
     to_partition,
@@ -36,7 +35,6 @@ from .constructions import (
 from .errors import (
     CapabilityError,
     DisconnectedGraphError,
-    EmbeddingNotFoundError,
     Graph6ParseError,
     PreconditionError,
     SelfCheckError,

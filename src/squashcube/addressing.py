@@ -22,7 +22,6 @@ that carries both (it builds its half-words and root words as such sums).
 """
 
 import json
-from collections import Counter
 
 import numpy as np
 
@@ -251,7 +250,8 @@ def require_valid(dist, adr, what):
 # A partition is a list of pieces; a piece is a list of >= 2 pairwise
 # disjoint nonempty vertex classes (each a sorted list).  Its edges are all
 # pairs crossing two classes, and a valid addressing's pieces partition the
-# distance multigraph's edge multiset, one piece per useful coordinate.
+# distance multigraph's edge multiset, one piece per useful coordinate:
+# partition_coverage equals the distance matrix.
 
 def to_partition(adr):
     """One multipartite piece per coordinate; coordinates with < 2 classes are dropped."""
@@ -289,29 +289,26 @@ def partition_to_addressing(parts, n, r):
     return Addressing(r, len(parts), words)
 
 
-def partition_edge_multiset(parts):
-    """Edge multiset of a partition, keyed by (u, v) with u < v."""
-    count = Counter()
+def partition_coverage(parts, n):
+    """The symmetric n x n matrix whose entry (u, v) counts the pieces that
+    put u and v in different classes.
+
+    The distance matrix is the distance multigraph's edge multiset, so a
+    partition of it has coverage equal to the distance matrix.  A vertex
+    listed twice in a class counts once per listing, and a vertex listed in
+    two classes of one piece lands on the diagonal.
+    """
+    cover = np.zeros((n, n), dtype=np.int32)
     for piece in parts:
-        for i in range(len(piece)):
-            for j in range(i + 1, len(piece)):
-                for u in piece[i]:
-                    for v in piece[j]:
-                        count[min(u, v), max(u, v)] += 1
-    return count
-
-
-def distance_edge_multiset(dist):
-    """Edge multiset of the distance multigraph of a distance matrix."""
-    n = len(dist)
-    return Counter(
-        {
-            (u, v): int(dist[u][v])
-            for u in range(n)
-            for v in range(u + 1, n)
-            if dist[u][v]
-        }
-    )
+        classes = [np.asarray(cls, dtype=np.intp) for cls in piece]
+        for cls in classes:
+            out = cls[(cls < 0) | (cls >= n)]
+            if out.size:
+                raise ValueError(f"vertex {out[0]} outside [0, {n})")
+        for i, a in enumerate(classes):
+            for b in classes[i + 1:]:
+                np.add.at(cover, np.ix_(a, b), 1)
+    return cover + cover.T
 
 
 # ---------------------------------------------------------------------------

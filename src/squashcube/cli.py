@@ -3,11 +3,10 @@
 Exit codes: 0 success / 1 invalid result (e.g. verification found
 violations) / 2 bad input, or input beyond a size cap / 3 internal
 self-check failure / 4 precondition failed.  All randomness flows from
---seed; SQUASHCUBE_NODE_LIMIT provides a default node limit for searches.
+--seed.
 """
 
 import argparse
-import os
 import sys
 
 from .addressing import (
@@ -26,7 +25,7 @@ from .constructions import (
     plus_three,
     random_partition,
 )
-from .errors import CapabilityError, EmbeddingNotFoundError, PreconditionError, SelfCheckError
+from .errors import CapabilityError, PreconditionError, SelfCheckError
 from .fixtures import load_fixture
 from .graphs import (
     bfs_distances,
@@ -48,8 +47,6 @@ EXIT_INVALID = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_PRECONDITION = 4
-
-NODE_LIMIT_ENV = "SQUASHCUBE_NODE_LIMIT"
 
 
 class SpecError(ValueError):
@@ -86,13 +83,6 @@ def parse_graph_spec(tokens):
     except (ValueError, OSError) as exc:
         raise SpecError(f"bad graph spec {' '.join(tokens)!r}: {exc}") from exc
     raise SpecError(f"unrecognized graph spec {' '.join(tokens)!r}")
-
-
-def _node_limit(args):
-    if args.node_limit is not None:
-        return args.node_limit
-    env = os.environ.get(NODE_LIMIT_ENV)
-    return int(env) if env else None
 
 
 def _emit_addressing(adr, out):
@@ -162,7 +152,7 @@ def cmd_solve(args):
     cfg = SearchConfig(
         graph=graph,
         r=args.r,
-        node_limit=_node_limit(args),
+        node_limit=args.node_limit,
         use_aut_pruning=not args.no_aut_pruning,
     )
     res = solve_N(cfg)
@@ -180,7 +170,7 @@ def cmd_census(args):
     with open(args.file, "rb") as fh:
         lines = fh.read().splitlines()
     res = census_distribution(
-        lines, r=args.r, jobs=args.jobs, node_limit=_node_limit(args)
+        lines, r=args.r, jobs=args.jobs, node_limit=args.node_limit
     )
     for lineno, msg in res.errors:
         print(f"line {lineno}: skipped ({msg})", file=sys.stderr)
@@ -285,7 +275,7 @@ def main(argv=None):
     except SelfCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (PreconditionError, EmbeddingNotFoundError) as exc:
+    except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     # SpecError is a ValueError; CapabilityError is an input beyond a cap

@@ -6,24 +6,13 @@ Nothing here is trusted: every constructed addressing or partition is
 re-verified against BFS distances before it is returned.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .addressing import (
-    Addressing,
-    STAR,
-    check_addressing,
-    distance_edge_multiset,
-    partition_edge_multiset,
-    require_valid,
-)
-from .errors import (
-    DisconnectedGraphError,
-    EmbeddingNotFoundError,
-    PreconditionError,
-    SelfCheckError,
-)
+import numpy as np
+
+from .addressing import Addressing, STAR, check_addressing, partition_coverage, require_valid
+from .errors import DisconnectedGraphError, PreconditionError, SelfCheckError
 from .graphs import Graph, bfs_distances, complete_multipartite, kam_graph, multipartite_classes
 from .johnson import johnson_addressing
 
@@ -150,19 +139,23 @@ def one_two_cover(k):
     return cover
 
 
+def _coverage(cover):
+    return partition_coverage([[a, b] for a, b in cover.pieces], cover.k)
+
+
 def _check_cover(cover):
-    if any(set(a) & set(b) for a, b in cover.pieces):
+    counts = _coverage(cover)
+    if counts.diagonal().any():
         raise SelfCheckError("piece sides overlap")
-    counts = partition_edge_multiset([[a, b] for a, b in cover.pieces])
-    for i, j in itertools.combinations(range(cover.k), 2):
-        if counts[i, j] not in (1, 2):
-            raise SelfCheckError(f"edge ({i},{j}) covered {counts[i, j]} times")
+    bad = np.argwhere(np.triu((counts != 1) & (counts != 2), 1)).tolist()
+    if bad:
+        i, j = bad[0]
+        raise SelfCheckError(f"edge ({i},{j}) covered {counts[i, j]} times")
 
 
 def cover_to_H(cover):
     """The graph on {0..k-1} whose edges are the once-covered pairs."""
-    counts = partition_edge_multiset([[a, b] for a, b in cover.pieces])
-    return Graph(cover.k, [e for e, c in counts.items() if c == 1])
+    return Graph(cover.k, np.argwhere(np.triu(_coverage(cover) == 1, 1)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -172,44 +165,59 @@ def induced_embedding(host, pattern):
     """An induced copy of `pattern` in `host` (vertex map), or None.
 
     Plain backtracking in pattern-vertex order with degree pruning; complete,
-    so None is a proof that no induced copy exists.
+    so None is a proof that no induced copy exists.  Pattern vertex v's
+    candidates are a host bitmask: the unused host vertices of degree at
+    least v's, ANDed with the neighbourhood of image[u], or its complement,
+    for each u < v.  They are tried in increasing order, so the first copy
+    found is the first in lexicographic order of the vertex map.
     """
     hn, pn = host.n, pattern.n
     if pn > hn:
         return None
-    pdeg = [pattern.degree(v) for v in range(pn)]
+    masks = [sum(1 << c for c in a) for a in host.adj]
+    big_enough = [
+        sum(1 << c for c in range(hn) if host.degree(c) >= pattern.degree(v))
+        for v in range(pn)
+    ]
     image = []
 
-    def extend(v):
+    def extend(v, used):
         if v == pn:
             return True
-        for cand in range(hn):
-            if cand in image or host.degree(cand) < pdeg[v]:
-                continue
-            if all(
-                host.has_edge(cand, image[u]) == pattern.has_edge(v, u)
-                for u in range(v)
-            ):
-                image.append(cand)
-                if extend(v + 1):
-                    return True
-                image.pop()
+        cands = big_enough[v] & ~used
+        for u, w in enumerate(image):
+            cands &= masks[w] if pattern.has_edge(v, u) else ~masks[w]
+        while cands:
+            low = cands & -cands
+            image.append(low.bit_length() - 1)
+            if extend(v + 1, used | low):
+                return True
+            image.pop()
+            cands ^= low
         return False
 
-    return list(image) if extend(0) else None
+    return list(image) if extend(0, 0) else None
 
 
 def k_threshold(n):
     """Largest k with C(n,k) >= 4 k^4 2^(k(k-1)/2), by exact integer arithmetic.
 
     Falls back to the degenerate k = 1 when no k >= 2 qualifies (tiny n).
+    The loop stops at the first failing k.  That is exact: on k >= 2,
+    f(k) = C(n,k) / (4 k^4 2^C(k,2)) is log-concave, since f(k+1)/f(k) =
+    (n-k)/(k+1) * (k/(k+1))^4 / 2^k, whose first factor falls with k, whose
+    second rises by less than a factor 2 per step and whose third halves
+    per step.  So the passing k (f(k) >= 1) form an interval.  It starts at
+    2 once n >= 17, where f(2) = n(n-1)/256 >= 1; and for n < 62,
+    f(3) < f(2), so f falls from k = 2 on and below n = 17 no k passes.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     best = 1
     for k in range(2, n + 1):
-        if math.comb(n, k) >= 4 * k ** 4 * (1 << (k * (k - 1) // 2)):
-            best = k
+        if math.comb(n, k) < 4 * k ** 4 * (1 << (k * (k - 1) // 2)):
+            break
+        best = k
     return best
 
 
@@ -221,7 +229,10 @@ def random_partition(g, k):
     located as an induced subgraph (its image is W); the cover pieces are
     mapped onto W, one biclique separates W from the rest, and one star per
     outside vertex finishes the job.  The result is verified to hit the
-    distance multiset exactly before being returned.
+    distance multiset exactly before being returned: its coverage matrix
+    must equal the BFS distance matrix.  Raises PreconditionError when g is
+    not of diameter 2 with a common neighbour for every pair at distance 2,
+    or holds no induced copy of H.
     """
     n = g.n
     try:
@@ -241,7 +252,7 @@ def random_partition(g, k):
     h = cover_to_H(cover)
     phi = induced_embedding(g, h)
     if phi is None:
-        raise EmbeddingNotFoundError(
+        raise PreconditionError(
             f"no induced copy of the {k}-vertex cover graph in this graph"
         )
 
@@ -260,7 +271,7 @@ def random_partition(g, k):
         if leaves:
             pieces.append([[z], sorted(leaves)])
 
-    if partition_edge_multiset(pieces) != distance_edge_multiset(dist):
+    if not np.array_equal(partition_coverage(pieces, n), dist):
         raise SelfCheckError(
             "partition failed verification although all preconditions held; "
             "please report this graph"

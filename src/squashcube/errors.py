@@ -28,10 +28,6 @@ class PreconditionError(RuntimeError):
     """A documented precondition of a construction does not hold."""
 
 
-class EmbeddingNotFoundError(RuntimeError):
-    """No induced copy of the pattern graph exists in the host graph."""
-
-
 class SelfCheckError(RuntimeError):
     """A result failed the library's own re-verification: a bug, not bad input.
 

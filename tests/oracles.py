@@ -4,12 +4,14 @@ These deliberately avoid the library's own code paths: inertia comes from
 Sturm sequences over the exact characteristic polynomial, minimum addressing
 lengths from a pruning-free enumeration, the lex-leader test from a column
 by column pass over string rows, verification from the string distance
-pair by pair, distances from a throwaway BFS.
+pair by pair, distances from a throwaway BFS, the partition threshold from
+every k and induced embeddings from itertools.permutations order.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from squashcube.addressing import STAR, word_distance
 
@@ -225,6 +227,31 @@ def reference_violations(dist, words):
         for v in range(u + 1, n)
         if word_distance(words[u], words[v]) != dist[u][v]
     ]
+
+
+# ---------------------------------------------------------------------------
+# the random-graph partition's threshold and embedding
+
+def full_k_threshold(n):
+    """Largest k in 2..n with C(n,k) >= 4 k^4 2^C(k,2), testing every k;
+    1 when none passes.  A k with C(k,2) >= n fails without the big-integer
+    test, since C(n,k) <= 2^n."""
+    best = 1
+    for k in range(2, n + 1):
+        if k * (k - 1) // 2 < n and math.comb(n, k) >= 4 * k ** 4 * (1 << (k * (k - 1) // 2)):
+            best = k
+    return best
+
+
+def first_induced_map(host, pattern):
+    """The first injective map, in itertools.permutations order, under which
+    `pattern` is an induced subgraph of `host`; None if there is none."""
+    pairs = [(u, v) for u in range(pattern.n) for v in range(u + 1, pattern.n)]
+    for image in permutations(range(host.n), pattern.n):
+        if all(host.has_edge(image[u], image[v]) == pattern.has_edge(u, v)
+               for u, v in pairs):
+            return list(image)
+    return None
 
 
 # ---------------------------------------------------------------------------

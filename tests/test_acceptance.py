@@ -12,11 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from squashcube.addressing import (
-    distance_edge_multiset,
-    partition_edge_multiset,
-    verify_addressing,
-)
+from squashcube.addressing import partition_coverage, verify_addressing
 from squashcube.constructions import (
     blow_up,
     ceil_two_sqrt,
@@ -24,7 +20,7 @@ from squashcube.constructions import (
     plus_three,
     random_partition,
 )
-from squashcube.errors import EmbeddingNotFoundError, PreconditionError
+from squashcube.errors import PreconditionError
 from squashcube.fixtures import iter_fixtures, load_fixture
 from squashcube.graphs import (
     bfs_distances,
@@ -240,12 +236,12 @@ def test_criterion_9_random_partition_20_seeds():
         g = random_graph(n, seed)
         try:
             parts = random_partition(g, k)
-        except (PreconditionError, EmbeddingNotFoundError) as exc:
+        except PreconditionError as exc:
             failed += 1
             print(f"  seed {seed}: reported failure: {exc}")
             continue
         assert len(parts) <= bound
-        assert partition_edge_multiset(parts) == distance_edge_multiset(bfs_distances(g))
+        assert np.array_equal(partition_coverage(parts, n), bfs_distances(g))
         succeeded += 1
     elapsed = time.time() - start
     _report(9, succeeded + failed == 20 and elapsed < 300,

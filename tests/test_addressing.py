@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from squashcube.addressing import (
@@ -8,12 +9,11 @@ from squashcube.addressing import (
     addressing_from_json,
     canonical_step,
     addressing_to_json,
-    distance_edge_multiset,
     format_addressing,
     distance_filter,
     pack_word,
     parse_addressing,
-    partition_edge_multiset,
+    partition_coverage,
     partition_to_addressing,
     to_partition,
     unpack_word,
@@ -196,7 +196,7 @@ def test_to_partition_k3():
     assert verify_addressing(d, adr) == []
     parts = to_partition(adr)
     assert len(parts) == 2
-    assert partition_edge_multiset(parts) == distance_edge_multiset(d)
+    assert np.array_equal(partition_coverage(parts, 3), d)
 
 
 def test_to_partition_drops_all_star_column():
@@ -210,7 +210,7 @@ def test_to_partition_johnson41_covers_k4():
     parts = to_partition(adr)
     assert len(parts) == 3
     d = bfs_distances(complete_graph(4))
-    assert partition_edge_multiset(parts) == distance_edge_multiset(d)
+    assert np.array_equal(partition_coverage(parts, 4), d)
 
 
 def test_partition_validity_iff_multiset_match():
@@ -218,11 +218,24 @@ def test_partition_validity_iff_multiset_match():
     g = johnson_graph(4, 2)
     d = bfs_distances(g)
     good = johnson_addressing(4, 2)
-    assert partition_edge_multiset(to_partition(good)) == distance_edge_multiset(d)
+    assert np.array_equal(partition_coverage(to_partition(good), g.n), d)
     bad = Addressing(2, good.length, [w.replace("1", "0", 1) for w in good.words])
-    assert (partition_edge_multiset(to_partition(bad)) == distance_edge_multiset(d)) == (
+    assert np.array_equal(partition_coverage(to_partition(bad), g.n), d) == (
         verify_addressing(d, bad) == []
     )
+
+
+def test_partition_coverage_counts_every_listing():
+    # a vertex listed twice counts twice; one listed in two classes of a
+    # piece lands on the diagonal; the matrix is symmetric
+    cover = partition_coverage([[[0, 0], [1]], [[2], [1, 2]]], 3)
+    assert cover.tolist() == [[0, 2, 0], [2, 0, 1], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_partition_coverage_rejects_a_vertex_outside_the_range(vertex):
+    with pytest.raises(ValueError, match="outside"):
+        partition_coverage([[[0], [1, vertex]]], 3)
 
 
 def test_tree_cut_partition_gives_length_n_minus_1():

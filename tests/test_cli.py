@@ -111,9 +111,8 @@ def test_solve_certificate_is_emitted(capsys):
     assert "r=3 len=3 n=5" in out
 
 
-def test_solve_node_limit_env(capsys, monkeypatch):
-    monkeypatch.setenv("SQUASHCUBE_NODE_LIMIT", "3")
-    code, out, _ = run(capsys, "solve", "petersen")
+def test_solve_node_limit(capsys):
+    code, out, _ = run(capsys, "solve", "petersen", "--node-limit", "3")
     assert code == 1 and out.startswith("unknown")
 
 
@@ -184,12 +183,13 @@ def test_random_demo_degenerate_k1(capsys):
 
 
 def test_random_demo_past_the_old_cover_cap(capsys):
-    # k = 10, and the threshold k = 11 at n = 512, have explicit grid covers
-    for argv in (["-n", "64", "--k", "10"], ["-n", "512"]):
+    # k = 10, and the threshold k = 13 at n = 1024, have explicit grid covers
+    for argv in (["-n", "64", "--k", "10"], ["-n", "1024"]):
         code, out, err = run(capsys, "random-demo", *argv)
         assert code == 0 and err == ""
         fields = dict(f.split("=") for f in out.splitlines()[1].split())
         assert int(fields["partition_size"]) <= int(fields["bound"])
+    assert fields["partition_size"] == "1018"
 
 
 def test_capability_error_exits_2_with_one_error_line(capsys, monkeypatch):

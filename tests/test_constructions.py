@@ -1,14 +1,11 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from squashcube.addressing import (
-    Addressing,
-    distance_edge_multiset,
-    partition_edge_multiset,
-    verify_addressing,
-)
+import squashcube.constructions
+from squashcube.addressing import Addressing, partition_coverage, verify_addressing
 from squashcube.constructions import (
     OneTwoCover,
     append_merge_column,
@@ -21,10 +18,11 @@ from squashcube.constructions import (
     plus_three,
     random_partition,
 )
-from squashcube.errors import EmbeddingNotFoundError, PreconditionError
+from squashcube.errors import PreconditionError, SelfCheckError
 from squashcube.fixtures import load_fixture
 from squashcube.graphs import (
     Graph,
+    all_graphs,
     bfs_distances,
     complete_graph,
     complete_multipartite,
@@ -34,6 +32,8 @@ from squashcube.graphs import (
     petersen_graph,
     random_graph,
 )
+
+from oracles import first_induced_map, full_k_threshold
 
 K22_BASE = Addressing(2, 2, ["00", "11", "01", "10"])
 K221_BASE = Addressing(2, 3, ["000", "110", "100", "010", "**1"])
@@ -199,6 +199,16 @@ def test_induced_embedding():
     assert phi is not None and len(set(phi)) == 3
 
 
+def test_induced_embedding_is_the_first_induced_map():
+    # the bitmask candidates are visited in increasing order, so the map
+    # found is the first induced one in permutations order, on every host
+    patterns = [p for m in range(1, 5) for p in all_graphs(m)]
+    for n in range(1, 7):
+        for host in all_graphs(n):
+            for pattern in patterns:
+                assert induced_embedding(host, pattern) == first_induced_map(host, pattern)
+
+
 def test_k_threshold_values():
     assert k_threshold(64) == 5
     assert k_threshold(2) == 1
@@ -206,8 +216,10 @@ def test_k_threshold_values():
         k_threshold(1)
 
 
-def test_k_threshold_nondecreasing():
-    values = [k_threshold(n) for n in range(2, 256)]
+def test_k_threshold_matches_the_full_loop():
+    # stopping at the first failing k is exact (see the docstring)
+    values = [k_threshold(n) for n in range(2, 1501)]
+    assert values == [full_k_threshold(n) for n in range(2, 1501)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -219,7 +231,7 @@ def test_random_partition_n64():
         parts = random_partition(g, k)
         assert len(parts) <= bound
         # independent multiset check on top of the internal one
-        assert partition_edge_multiset(parts) == distance_edge_multiset(bfs_distances(g))
+        assert np.array_equal(partition_coverage(parts, 64), bfs_distances(g))
 
 
 def test_random_partition_degenerate_k1():
@@ -227,9 +239,9 @@ def test_random_partition_degenerate_k1():
         g = random_graph(12, seed)
         try:
             parts = random_partition(g, 1)
-        except (PreconditionError, EmbeddingNotFoundError):
+        except PreconditionError:
             continue
-        assert partition_edge_multiset(parts) == distance_edge_multiset(bfs_distances(g))
+        assert np.array_equal(partition_coverage(parts, 12), bfs_distances(g))
         return
     pytest.skip("no diameter-2 seed found at n=12")
 
@@ -260,8 +272,17 @@ def test_random_partition_names_the_first_pair_without_common_neighbour():
         except PreconditionError as exc:
             got = str(exc)
             named += 1
-        except EmbeddingNotFoundError:
-            got = None
         assert got == ("vertices {},{} have no common neighbor".format(*lonely[0])
                        if lonely else None)
     assert named > 10
+
+
+def test_random_partition_rejects_overlapping_classes(monkeypatch):
+    # a cover whose piece sides share vertex 0 maps to pieces with
+    # overlapping classes; the self-check must refuse them
+    g = complete_multipartite([2, 2, 2])
+    assert np.array_equal(partition_coverage(random_partition(g, 2), 6), bfs_distances(g))
+    overlapping = OneTwoCover(2, (((0,), (0, 1)),))
+    monkeypatch.setattr(squashcube.constructions, "one_two_cover", lambda k: overlapping)
+    with pytest.raises(SelfCheckError, match="failed verification"):
+        random_partition(g, 2)
