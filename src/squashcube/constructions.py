@@ -13,7 +13,14 @@ import numpy as np
 
 from .addressing import Addressing, STAR, check_addressing, partition_coverage, require_valid
 from .errors import DisconnectedGraphError, PreconditionError, SelfCheckError
-from .graphs import Graph, bfs_distances, complete_multipartite, kam_graph, multipartite_classes
+from .graphs import (
+    Graph,
+    bfs_distances,
+    complete_multipartite,
+    kam_graph,
+    multipartite_classes,
+    neighbour_masks,
+)
 from .johnson import johnson_addressing
 
 
@@ -174,7 +181,7 @@ def induced_embedding(host, pattern):
     hn, pn = host.n, pattern.n
     if pn > hn:
         return None
-    masks = [sum(1 << c for c in a) for a in host.adj]
+    masks = neighbour_masks(host)
     big_enough = [
         sum(1 << c for c in range(hn) if host.degree(c) >= pattern.degree(v))
         for v in range(pn)
@@ -242,7 +249,7 @@ def random_partition(g, k):
     if dist.max() != 2:
         raise PreconditionError(f"graph diameter is {int(dist.max())}, need exactly 2")
     # A pair at distance 2 has a common neighbour; test the adjacent pairs.
-    masks = [sum(1 << v for v in a) for a in g.adj]
+    masks = neighbour_masks(g)
     for u in range(n):
         for v in sorted(g.adj[u]):
             if v > u and not masks[u] & masks[v]:

@@ -155,6 +155,12 @@ def random_graph(n, seed):
 # ---------------------------------------------------------------------------
 # distances
 
+def neighbour_masks(g):
+    """Each vertex's neighbourhood as a bitmask: bit u of entry v is set
+    exactly when u and v are adjacent."""
+    return [sum(1 << u for u in a) for a in g.adj]
+
+
 def _bfs_row(masks, src):
     """Distances from src, -1 where a vertex is unreachable.
 
@@ -186,7 +192,7 @@ def _bfs_row(masks, src):
 
 
 def is_connected(g):
-    return g.n <= 1 or -1 not in _bfs_row([sum(1 << v for v in a) for a in g.adj], 0)
+    return g.n <= 1 or -1 not in _bfs_row(neighbour_masks(g), 0)
 
 
 def bfs_distances(g):
@@ -198,7 +204,7 @@ def bfs_distances(g):
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no distance matrix")
-    masks = [sum(1 << v for v in a) for a in g.adj]
+    masks = neighbour_masks(g)
     rows = []
     for src in range(n):
         row = _bfs_row(masks, src)
@@ -388,7 +394,18 @@ def canonical_form(g):
 
 
 def all_graphs(n, cap=CANONICAL_CAP):
-    """All graphs on n vertices up to isomorphism, by vertex augmentation."""
+    """All graphs on n vertices up to isomorphism, by vertex augmentation.
+
+    Level m joins a new vertex m-1 to each graph g of level m-1 along a
+    neighbourhood mask, masks in increasing order, and keeps a child when
+    its canonical label is new.  Masks in one orbit of Aut(g) give
+    isomorphic children, so only the least mask of each orbit is labelled:
+    each labelled mask marks its images under every automorphism as done.
+    The kept representatives and their order are those of labelling every
+    mask, since a skipped mask's child is isomorphic to that of a smaller
+    mask of the same parent, labelled earlier, and so is never new
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+    """
     if n > cap:
         raise CapabilityError(f"graph census capped at {cap} vertices (n={n})")
     if n < 1:
@@ -399,11 +416,14 @@ def all_graphs(n, cap=CANONICAL_CAP):
         nxt = []
         for g in level:
             base_edges = g.edges
+            perms = automorphisms(g)
+            done = set()
             for mask in range(1 << (m - 1)):
-                edges = list(base_edges) + [
-                    (u, m - 1) for u in range(m - 1) if (mask >> u) & 1
-                ]
-                h = Graph(m, edges)
+                if mask in done:
+                    continue
+                nbrs = [u for u in range(m - 1) if (mask >> u) & 1]
+                done.update(sum(1 << p[u] for u in nbrs) for p in perms)
+                h = Graph(m, list(base_edges) + [(u, m - 1) for u in nbrs])
                 key = canonical_form(h)
                 if key not in seen:
                     seen.add(key)

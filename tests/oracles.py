@@ -5,13 +5,16 @@ Sturm sequences over the exact characteristic polynomial, minimum addressing
 lengths from a pruning-free enumeration, the lex-leader test from a column
 by column pass over string rows, verification from the string distance
 pair by pair, distances from a throwaway BFS, the partition threshold from
-every k and induced embeddings from itertools.permutations order.
+every k, induced embeddings from itertools.permutations order and the
+graph census from an unpruned augmentation loop with a brute-force label.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+
+import numpy as np
 
 from squashcube.addressing import STAR, word_distance
 
@@ -252,6 +255,42 @@ def first_induced_map(host, pattern):
                for u, v in pairs):
             return list(image)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the small-graph census without symmetry pruning
+
+def first_new_augmentations(n):
+    """Graphs on n vertices up to isomorphism, as sorted edge tuples.
+
+    Level m joins vertex m-1 to each graph of level m-1 along every
+    neighbourhood mask in increasing order, and keeps the first child of
+    each isomorphism class.  The class label is the least packed adjacency
+    over all m! relabellings: pair i = (u, v) sets bit i, and relabelling
+    by p moves it to the bit of (p[u], p[v]).
+    """
+    level = [()]
+    for m in range(2, n + 1):
+        pairs = list(combinations(range(m), 2))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        moved = np.array(
+            [[1 << index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
+             for p in permutations(range(m))],
+            dtype=np.int64,
+        )
+        seen = set()
+        nxt = []
+        for edges in level:
+            for mask in range(1 << (m - 1)):
+                child = edges + tuple((u, m - 1) for u in range(m - 1) if (mask >> u) & 1)
+                adjacency = np.zeros(len(pairs), dtype=np.int64)
+                adjacency[[index[e] for e in child]] = 1
+                label = int((moved @ adjacency).min())
+                if label not in seen:
+                    seen.add(label)
+                    nxt.append(child)
+        level = nxt
+    return level
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from squashcube.graphs import (
     petersen_graph,
     random_graph,
 )
-from oracles import simple_bfs_all_pairs
+import squashcube.graphs as graphs_module
+from oracles import first_new_augmentations, simple_bfs_all_pairs
 
 
 def test_graph_rejects_self_loops_and_bad_edges():
@@ -359,8 +360,36 @@ def test_canonical_form_is_isomorphism_invariant():
 
 
 def test_small_graph_census_counts():
-    assert [len(all_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-    assert [len(connected_graphs(n)) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    assert [len(all_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_all_graphs_is_the_unpruned_first_new_loop():
+    """Skipping all but the least mask of each Aut(parent) orbit keeps the
+    representatives, and their order, of labelling every mask."""
+    for n in range(1, 7):
+        expected = [emit_graph6(Graph(n, edges)) for edges in first_new_augmentations(n)]
+        assert [emit_graph6(g) for g in all_graphs(n)] == expected
+
+
+def test_all_graphs_labels_one_child_per_orbit(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(graphs_module, "canonical_form", counted)
+    labelled = []
+    for n in range(2, 8):
+        calls.clear()
+        all_graphs(n)
+        labelled.append(len(calls))
+    # the unpruned loop labels 2^(m-1) children of each graph of order m-1
+    sizes = [len(all_graphs(m)) for m in range(1, 7)]
+    unpruned = [sum(sizes[m - 2] << (m - 1) for m in range(2, n + 1)) for n in range(2, 8)]
+    assert labelled == [2, 8, 28, 118, 662, 5758]
+    assert unpruned == [2, 10, 42, 218, 1306, 11290]
 
 
 def test_canonical_form_separates_same_degree_graphs():
