@@ -8,7 +8,9 @@ length-8 table for J(6,3).
 
 Optional: pass --search-j63 to certify N_2(J(6,3)) = 8 from scratch with the
 exact solver: it exhausts length 7 (about a minute of CPU) and rediscovers a
-length-8 addressing (a few seconds).
+length-8 addressing (a few seconds).  Pass --search-j62 to certify
+N_2(J(6,2)) = 8: it exhausts length 7 (about 2 minutes), so the general
+construction's length k(n-k) = 8 is optimal there.
 """
 
 import argparse
@@ -40,10 +42,22 @@ def show_table(n, k, order="by-x"):
     print(f"  verification: {'VALID' if not bad else bad[:3]}")
 
 
+def exhaust_length_7(n, k):
+    cfg = SearchConfig(graph=johnson_graph(n, k), r=2)
+    print(f"\nExhausting length 7 for J({n},{k})...")
+    t0 = time.time()
+    out = feasible_at_length(cfg, 7)
+    print(f"  found={out.feasible} exhausted={out.exhausted} "
+          f"nodes={out.nodes_explored} ({time.time() - t0:.0f}s)")
+    return cfg
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--search-j63", action="store_true",
                     help="also prove N_2(J(6,3)) = 8 by search (about a minute)")
+    ap.add_argument("--search-j62", action="store_true",
+                    help="also prove N_2(J(6,2)) = 8 by search (about 2 minutes)")
     args = ap.parse_args()
 
     show_table(4, 1)
@@ -74,12 +88,7 @@ def main():
     print("length 7: pass --search-j63, about a minute.)")
 
     if args.search_j63:
-        cfg = SearchConfig(graph=johnson_graph(6, 3), r=2)
-        print("\nExhausting length 7 for J(6,3)...")
-        t0 = time.time()
-        out = feasible_at_length(cfg, 7)
-        print(f"  found={out.feasible} exhausted={out.exhausted} "
-              f"nodes={out.nodes_explored} ({time.time() - t0:.0f}s)")
+        cfg = exhaust_length_7(6, 3)
         print("Searching for a fresh length-8 addressing of J(6,3)...")
         t0 = time.time()
         out = feasible_at_length(cfg, 8)
@@ -87,6 +96,11 @@ def main():
               f"({time.time() - t0:.0f}s)")
         for s, w in zip(johnson_subsets(6, 3), out.addressing.words):
             print(f"  {{{','.join(map(str, s))}}}  {w}")
+
+    if args.search_j62:
+        exhaust_length_7(6, 2)
+        show_table(6, 2)
+        print("So N_2(J(6,2)) = 8 = k(n-k): here the general construction is optimal.")
 
 
 if __name__ == "__main__":

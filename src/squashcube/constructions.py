@@ -19,7 +19,7 @@ from .graphs import (
     complete_multipartite,
     kam_graph,
     multipartite_classes,
-    neighbour_masks,
+    set_bits,
 )
 from .johnson import johnson_addressing
 
@@ -181,7 +181,6 @@ def induced_embedding(host, pattern):
     hn, pn = host.n, pattern.n
     if pn > hn:
         return None
-    masks = neighbour_masks(host)
     big_enough = [
         sum(1 << c for c in range(hn) if host.degree(c) >= pattern.degree(v))
         for v in range(pn)
@@ -193,14 +192,12 @@ def induced_embedding(host, pattern):
             return True
         cands = big_enough[v] & ~used
         for u, w in enumerate(image):
-            cands &= masks[w] if pattern.has_edge(v, u) else ~masks[w]
-        while cands:
-            low = cands & -cands
-            image.append(low.bit_length() - 1)
-            if extend(v + 1, used | low):
+            cands &= host.adj[w] if pattern.has_edge(v, u) else ~host.adj[w]
+        for c in set_bits(cands):
+            image.append(c)
+            if extend(v + 1, used | 1 << c):
                 return True
             image.pop()
-            cands ^= low
         return False
 
     return list(image) if extend(0, 0) else None
@@ -249,11 +246,10 @@ def random_partition(g, k):
     if dist.max() != 2:
         raise PreconditionError(f"graph diameter is {int(dist.max())}, need exactly 2")
     # A pair at distance 2 has a common neighbour; test the adjacent pairs.
-    masks = neighbour_masks(g)
-    for u in range(n):
-        for v in sorted(g.adj[u]):
-            if v > u and not masks[u] & masks[v]:
-                raise PreconditionError(f"vertices {u},{v} have no common neighbor")
+    adj = g.adj
+    for u, v in g.edges:
+        if not adj[u] & adj[v]:
+            raise PreconditionError(f"vertices {u},{v} have no common neighbor")
 
     cover = one_two_cover(k)
     h = cover_to_H(cover)
@@ -263,20 +259,21 @@ def random_partition(g, k):
             f"no induced copy of the {k}-vertex cover graph in this graph"
         )
 
-    w_set = set(phi)
-    outside = [z for z in range(n) if z not in w_set]
+    everyone = (1 << n) - 1
+    outside_mask = everyone ^ sum(1 << w for w in phi)
+    outside = set_bits(outside_mask)
     pieces = [
         [sorted(phi[u] for u in a), sorted(phi[v] for v in b)]
         for a, b in cover.pieces
     ]
     if outside:
-        pieces.append([sorted(w_set), sorted(outside)])
+        pieces.append([sorted(phi), outside])
     for z in outside:
-        leaves = [w for w in w_set if w not in g.adj[z]]
-        leaves += [y for y in outside if y != z and y not in g.adj[z]]
-        leaves += [y for y in outside if y < z and y in g.adj[z]]
+        # z's star: its non-neighbours, and its outside neighbours below z
+        non_neighbours = everyone ^ adj[z] ^ 1 << z
+        leaves = set_bits(non_neighbours | adj[z] & outside_mask & ((1 << z) - 1))
         if leaves:
-            pieces.append([[z], sorted(leaves)])
+            pieces.append([[z], leaves])
 
     if not np.array_equal(partition_coverage(pieces, n), dist):
         raise SelfCheckError(

@@ -5,6 +5,7 @@ Vertices are always 0..n-1.  Johnson graph vertices are k-subsets of
 class by class.
 """
 
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -13,41 +14,53 @@ from .errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
 
 MAX_VERTICES = 4096
 SYMMETRY_CAP = 12
-CANONICAL_CAP = 8
+CANONICAL_CAP = 9
+
+
+def set_bits(mask):
+    """The set bits of a non-negative int, in increasing order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 class Graph:
-    """Undirected simple graph with vertex set {0, .., n-1}."""
+    """Undirected simple graph on {0, .., n-1}; bit u of `adj[v]` is set iff uv is an edge."""
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj = tuple(adj)
 
     @property
     def edges(self):
-        return tuple((u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v)
+        # each pair once, as (u, v) with u < v: the bits of adj[u] above u
+        return tuple((u, u + 1 + v) for u, a in enumerate(self.adj) for v in set_bits(a >> u + 1))
 
     @property
     def num_edges(self):
-        return sum(len(s) for s in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def degree(self, v):
-        return len(self.adj[v])
+        return self.adj[v].bit_count()
 
     def has_edge(self, u, v):
-        return v in self.adj[u]
+        return bool(self.adj[u] >> v & 1)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -155,19 +168,13 @@ def random_graph(n, seed):
 # ---------------------------------------------------------------------------
 # distances
 
-def neighbour_masks(g):
-    """Each vertex's neighbourhood as a bitmask: bit u of entry v is set
-    exactly when u and v are adjacent."""
-    return [sum(1 << u for u in a) for a in g.adj]
-
-
-def _bfs_row(masks, src):
+def _bfs_row(adj, src):
     """Distances from src, -1 where a vertex is unreachable.
 
     Level-synchronous BFS on neighbour bitmasks: each level ORs the masks of
     the frontier and keeps the bits not yet seen.
     """
-    n = len(masks)
+    n = len(adj)
     everyone = (1 << n) - 1
     row = [-1] * n
     row[src] = 0
@@ -178,21 +185,17 @@ def _bfs_row(masks, src):
         level += 1
         reach = 0
         for u in frontier:
-            reach |= masks[u]
+            reach |= adj[u]
         new = reach & ~seen
         seen |= new
-        frontier = []
-        while new:
-            low = new & -new
-            v = low.bit_length() - 1
+        frontier = set_bits(new)
+        for v in frontier:
             row[v] = level
-            frontier.append(v)
-            new ^= low
     return row
 
 
 def is_connected(g):
-    return g.n <= 1 or -1 not in _bfs_row(neighbour_masks(g), 0)
+    return g.n <= 1 or -1 not in _bfs_row(g.adj, 0)
 
 
 def bfs_distances(g):
@@ -204,10 +207,9 @@ def bfs_distances(g):
     n = g.n
     if n == 0:
         raise ValueError("empty graph has no distance matrix")
-    masks = neighbour_masks(g)
     rows = []
     for src in range(n):
-        row = _bfs_row(masks, src)
+        row = _bfs_row(g.adj, src)
         if -1 in row:
             raise DisconnectedGraphError(src, row.index(-1))
         rows.append(row)
@@ -306,10 +308,10 @@ def emit_graph6(g):
 # symmetry: one search over refined vertex orderings gives both the canonical
 # label and the automorphism group; the small censuses dedupe on the label
 
-def _refine_colors(g):
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(g.n):
-        keys = [(colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in range(g.n)]
+def _refine_colors(nbrs):
+    colors = [len(a) for a in nbrs]
+    for _ in range(len(nbrs)):
+        keys = [(c, tuple(sorted(colors[u] for u in a))) for c, a in zip(colors, nbrs)]
         relabel = {key: i for i, key in enumerate(sorted(set(keys)))}
         new = [relabel[k] for k in keys]
         if new == colors:
@@ -331,7 +333,8 @@ def _least_orderings(g):
     n = g.n
     if n > SYMMETRY_CAP:
         raise CapabilityError(f"symmetry search capped at {SYMMETRY_CAP} vertices (n={n})")
-    colors = _refine_colors(g)
+    nbrs = [set_bits(a) for a in g.adj]
+    colors = _refine_colors(nbrs)
     members = {}
     for v in range(n):
         members.setdefault(colors[v], []).append(v)
@@ -361,10 +364,10 @@ def _least_orderings(g):
                 continue
             free[v] = False
             order.append(v)
-            for u in g.adj[v]:
+            for u in nbrs[v]:
                 rows[u] |= bit
             place(p + 1)
-            for u in g.adj[v]:
+            for u in nbrs[v]:
                 rows[u] ^= bit
             order.pop()
             free[v] = True
@@ -393,7 +396,7 @@ def canonical_form(g):
     return _least_orderings(g)[0]
 
 
-def all_graphs(n, cap=CANONICAL_CAP):
+def all_graphs(n):
     """All graphs on n vertices up to isomorphism, by vertex augmentation.
 
     Level m joins a new vertex m-1 to each graph g of level m-1 along a
@@ -406,8 +409,8 @@ def all_graphs(n, cap=CANONICAL_CAP):
     mask of the same parent, labelled earlier, and so is never new
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
     """
-    if n > cap:
-        raise CapabilityError(f"graph census capped at {cap} vertices (n={n})")
+    if n > CANONICAL_CAP:
+        raise CapabilityError(f"graph census capped at {CANONICAL_CAP} vertices (n={n})")
     if n < 1:
         raise ValueError("need n >= 1")
     level = [Graph(1)]
@@ -421,7 +424,7 @@ def all_graphs(n, cap=CANONICAL_CAP):
             for mask in range(1 << (m - 1)):
                 if mask in done:
                     continue
-                nbrs = [u for u in range(m - 1) if (mask >> u) & 1]
+                nbrs = set_bits(mask)
                 done.update(sum(1 << p[u] for u in nbrs) for p in perms)
                 h = Graph(m, list(base_edges) + [(u, m - 1) for u in nbrs])
                 key = canonical_form(h)
@@ -432,6 +435,6 @@ def all_graphs(n, cap=CANONICAL_CAP):
     return level
 
 
-def connected_graphs(n, cap=CANONICAL_CAP):
+def connected_graphs(n):
     """All connected graphs on n vertices up to isomorphism."""
-    return [g for g in all_graphs(n, cap=cap) if is_connected(g)]
+    return [g for g in all_graphs(n) if is_connected(g)]

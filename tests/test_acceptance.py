@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to watch the lines).
-The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8 and the order-5 brute-force
-sweep at r = 4) are gated on SQUASHCUBE_OPT_IN_TESTS=1.
+The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8, N_2(J(6,2)) = 8 and the
+order-5 brute-force sweep at r = 4) are gated on SQUASHCUBE_OPT_IN_TESTS=1.
 """
 
 import itertools
@@ -153,6 +153,23 @@ def test_criterion_5_opt_in_j63():
         and verify_addressing(bfs_distances(g), found.addressing) == []
     )
     _report(5, ok, f"N_2(J(6,3)) = 8: length 7 refuted in {short.nodes_explored} "
+                   f"nodes ({time.time() - start:.1f}s)")
+
+
+@opt_in
+def test_criterion_5_opt_in_j62():
+    # N_2(J(6,2)) = 8 = k(n-k): length 7 is exhausted, and the general
+    # construction's length-8 addressing verifies.
+    start = time.time()
+    g = johnson_graph(6, 2)
+    short = feasible_at_length(SearchConfig(graph=g, r=2), 7)
+    adr = johnson_addressing(6, 2)
+    ok = (
+        (short.feasible, short.exhausted, short.nodes_explored) == (False, True, 6_000_541)
+        and adr.length == 8
+        and verify_addressing(bfs_distances(g), adr) == []
+    )
+    _report(5, ok, f"N_2(J(6,2)) = 8: length 7 refuted in {short.nodes_explored} "
                    f"nodes ({time.time() - start:.1f}s)")
 
 

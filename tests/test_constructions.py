@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -232,6 +234,20 @@ def test_random_partition_n64():
         assert len(parts) <= bound
         # independent multiset check on top of the internal one
         assert np.array_equal(partition_coverage(parts, 64), bfs_distances(g))
+
+
+def test_random_partition_pieces_are_pinned():
+    """The piece lists themselves, in order, not only their coverage."""
+    def digest(g, k):
+        return hashlib.sha1(json.dumps(random_partition(g, k)).encode()).hexdigest()
+
+    k = k_threshold(64)
+    assert [digest(random_graph(64, seed), k) for seed in range(3)] == [
+        "6ddc117463717c515f8bc3ddebd961f7bc0920f9",
+        "4fbb6d05b5438bde942ff888d6c015a42ab27ab4",
+        "4359c887f18579bd17e9cb95d240c06093bfac04",
+    ]
+    assert digest(random_graph(256, [0, 256]), 9) == "7a4b2b661e1ac1497e3c1999e376d5f349099d95"
 
 
 def test_random_partition_degenerate_k1():

@@ -25,7 +25,9 @@ from squashcube.graphs import (
     path_graph,
     petersen_graph,
     random_graph,
+    set_bits,
 )
+from squashcube.fixtures import iter_fixtures
 import squashcube.graphs as graphs_module
 from oracles import first_new_augmentations, simple_bfs_all_pairs
 
@@ -35,6 +37,38 @@ def test_graph_rejects_self_loops_and_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(TypeError):
+        Graph(3, [(0.0, 1.0)])
+
+
+def test_numpy_integer_endpoints_give_python_int_masks():
+    # numpy ints would give numpy masks, which have no bit_length and
+    # overflow at 1 << 64
+    edges = [(i, i + 1) for i in range(69)]
+    g = Graph(70, [(np.int64(u), np.int64(v)) for u, v in edges])
+    assert g == Graph(70, edges)
+    assert np.array_equal(bfs_distances(g), bfs_distances(path_graph(70)))
+
+
+def test_set_bits_lists_the_binary_digits():
+    rng = random.Random(5)
+    masks = [0, 1, 6, 1 << 4095, (1 << 4096) - 1] + [rng.getrandbits(2048) for _ in range(5)]
+    for mask in masks:
+        assert set_bits(mask) == [i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1"]
+
+
+def test_adjacency_masks_agree_with_the_edge_list():
+    graphs = [random_graph(n, seed) for n in (1, 2, 7, 12, 40) for seed in range(3)]
+    graphs += [g for _, _, g in iter_fixtures()]
+    for g in graphs:
+        brute = [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
+        assert [set_bits(a) for a in g.adj] == brute
+        assert g.edges == tuple((u, v) for u in range(g.n) for v in brute[u] if u < v)
+        assert g.num_edges == len(g.edges)
+        assert [g.degree(v) for v in range(g.n)] == [len(b) for b in brute]
+        for u, v in itertools.product(range(g.n), repeat=2):
+            assert g.has_edge(u, v) is g.has_edge(v, u) is (u in brute[v])
+        assert Graph(g.n, g.edges) == g
 
 
 def test_johnson_n4_k1_is_complete():
@@ -370,6 +404,16 @@ def test_all_graphs_is_the_unpruned_first_new_loop():
     for n in range(1, 7):
         expected = [emit_graph6(Graph(n, edges)) for edges in first_new_augmentations(n)]
         assert [emit_graph6(g) for g in all_graphs(n)] == expected
+
+
+def test_all_graphs_refuses_order_10_before_generating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs_module, "canonical_form", calls.append)
+    with pytest.raises(CapabilityError):
+        all_graphs(10)
+    with pytest.raises(CapabilityError):
+        connected_graphs(10)
+    assert calls == []
 
 
 def test_all_graphs_labels_one_child_per_orbit(monkeypatch):
