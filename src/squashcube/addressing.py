@@ -5,7 +5,7 @@ two words is the number of positions where both symbols are digits and they
 differ; an addressing of a graph is valid when this matches the graph
 distance for every vertex pair.
 
-Internally a word of length L is packed into one integer so a pairwise
+For the search, a word of length L is packed into one integer so a pairwise
 distance costs a handful of bitwise ops and a popcount.  Bits 0..L-1 are the
 care bits (set where the symbol is a digit); then come (r-1).bit_length()
 bitplanes of L bits each, plane b holding bit b of every digit in binary.
@@ -13,12 +13,14 @@ One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
 
 Two helpers are built once per word shape (length, r): distance_filter
-gives at(words, w, t), which serves every candidate list of the search and
-verification, and canonical_step gives the search's row-by-row lex-leader
-test.  Outside this module, the search relies on two facts of the layout:
-the care bits are the low L bits, so a word's weight is the popcount of
-w & ((1 << L) - 1), and words with disjoint positions add up to the word
-that carries both (it builds its half-words and root words as such sums).
+gives at(words, w, t), which serves every candidate list, and canonical_step
+gives the row-by-row lex-leader test.  Verification uses none of this: it
+compares an addressing's partition coverage with the distance matrix (the
+partition view below), so no witness is checked by the kernel that found
+it.  The search relies on two facts of the layout: the care bits are the
+low L bits, so a word's weight is the popcount of w & ((1 << L) - 1), and
+words with disjoint positions add up to the word that carries both (it
+builds its half-words and root words as such sums).
 """
 
 import json
@@ -196,31 +198,18 @@ def verify_addressing(dist, adr):
     """All violating pairs (u, v, expected, got), in (u, v) order; empty
     list means valid.
 
-    Each row's pairs v > u are grouped by expected distance and every group
-    goes through the packed filter at once; only in a group that loses a
-    word is each pair's distance taken, with the string definition
-    word_distance.
+    got is the pair's entry in the coverage matrix of adr's partition (the
+    number of coordinates where both words have a digit and the digits
+    differ), so an addressing is valid exactly when its partition's
+    coverage equals the distance matrix.
     """
     n = len(dist)
     if adr.n != n:
         raise ValueError(f"addressing covers {adr.n} vertices, matrix has {n}")
-    words = adr.words
-    packed = [pack_word(w, adr.r) for w in words]
-    at = distance_filter(adr.length, adr.r)
-    violations = []
-    for u, row in enumerate(np.asarray(dist).tolist()):     # Python ints
-        groups = {}
-        for v in range(u + 1, n):
-            groups.setdefault(row[v], []).append(v)
-        for d, group in groups.items():
-            if len(at([packed[v] for v in group], packed[u], d)) != len(group):
-                violations.extend(
-                    (u, v, d, got)
-                    for v in group
-                    if (got := word_distance(words[u], words[v])) != d
-                )
-    violations.sort()
-    return violations
+    dist = np.asarray(dist).reshape(n, n)
+    got = partition_coverage(to_partition(adr), n)
+    bad = np.argwhere(got != dist).tolist()
+    return [(u, v, int(dist[u, v]), int(got[u, v])) for u, v in bad if u < v]
 
 
 def check_addressing(dist, adr, what):
@@ -256,11 +245,11 @@ def require_valid(dist, adr, what):
 def to_partition(adr):
     """One multipartite piece per coordinate; coordinates with < 2 classes are dropped."""
     pieces = []
-    for j in range(adr.length):
+    for column in zip(*adr.words):
         classes = {}
-        for v, w in enumerate(adr.words):
-            if w[j] != STAR:
-                classes.setdefault(w[j], []).append(v)
+        for v, ch in enumerate(column):
+            if ch != STAR:
+                classes.setdefault(ch, []).append(v)
         if len(classes) >= 2:
             pieces.append([classes[c] for c in sorted(classes)])
     return pieces
@@ -296,18 +285,18 @@ def partition_coverage(parts, n):
     The distance matrix is the distance multigraph's edge multiset, so a
     partition of it has coverage equal to the distance matrix.  A vertex
     listed twice in a class counts once per listing, and a vertex listed in
-    two classes of one piece lands on the diagonal.
+    two classes of one piece lands on the diagonal.  One bincount counts the
+    flat cells u * n + v of all class pairs, once every vertex is in range.
     """
-    cover = np.zeros((n, n), dtype=np.int32)
+    out = [v for piece in parts for cls in piece for v in cls if not 0 <= v < n]
+    if out:
+        raise ValueError(f"vertex {out[0]} outside [0, {n})")
+    cells = [np.zeros(0, dtype=np.intp)]
     for piece in parts:
         classes = [np.asarray(cls, dtype=np.intp) for cls in piece]
-        for cls in classes:
-            out = cls[(cls < 0) | (cls >= n)]
-            if out.size:
-                raise ValueError(f"vertex {out[0]} outside [0, {n})")
         for i, a in enumerate(classes):
-            for b in classes[i + 1:]:
-                np.add.at(cover, np.ix_(a, b), 1)
+            cells.extend((a[:, None] * n + b).ravel() for b in classes[i + 1:])
+    cover = np.bincount(np.concatenate(cells), minlength=n * n).reshape(n, n)
     return cover + cover.T
 
 

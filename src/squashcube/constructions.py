@@ -235,8 +235,8 @@ def random_partition(g, k):
     outside vertex finishes the job.  The result is verified to hit the
     distance multiset exactly before being returned: its coverage matrix
     must equal the BFS distance matrix.  Raises PreconditionError when g is
-    not of diameter 2 with a common neighbour for every pair at distance 2,
-    or holds no induced copy of H.
+    not of diameter 2 with a common neighbour for every adjacent pair (the
+    star pieces need one), or holds no induced copy of H.
     """
     n = g.n
     try:

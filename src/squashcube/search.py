@@ -42,7 +42,8 @@ lists are never mutated, only filtered into new ones.  Below the root,
 every assignment filters each remaining vertex's list by its distance to
 the new word; vertices holding the same list at the same distance get one
 shared filtered list.  The vertex with the fewest candidates is assigned
-next.  Every witness is re-verified before it is returned.
+next.  Every witness is re-verified before it is returned, through the
+coverage matrix of its partition, which shares no code with the filter.
 """
 
 import multiprocessing
@@ -66,6 +67,14 @@ from .graphs import Graph, automorphisms, bfs_distances, parse_graph6
 from .spectral import lower_bound
 
 
+def _check_limits(r, node_limit):
+    """Raise ValueError on a bad alphabet size or a negative node limit."""
+    if not 2 <= r <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {r}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node limit must be >= 0, got {node_limit}")
+
+
 @dataclass
 class SearchConfig:
     graph: Graph
@@ -75,10 +84,7 @@ class SearchConfig:
     first_vertices: Optional[tuple] = None
 
     def __post_init__(self):
-        if not 2 <= self.r <= MAX_ALPHABET:
-            raise ValueError(
-                f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.r}"
-            )
+        _check_limits(self.r, self.node_limit)
 
 
 @dataclass
@@ -349,8 +355,10 @@ def census_distribution(lines, r=2, jobs=1, node_limit=None):
 
     Bad lines (parse errors, disconnected graphs, node-limit hits) are
     skipped and reported in the result's `errors` list; a line whose solve
-    fails a self-check is reported in `internal_errors` instead.
+    fails a self-check is reported in `internal_errors` instead.  A bad
+    alphabet size or node limit raises ValueError before any line is solved.
     """
+    _check_limits(r, node_limit)
     tasks = [
         (i, line, r, node_limit)
         for i, line in enumerate(lines, start=1)

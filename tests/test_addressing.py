@@ -166,9 +166,9 @@ def _corruptions(adr, rng):
 
 
 def test_verify_addressing_equals_the_string_reference():
-    # Verification filters each row's pairs by expected distance and only
-    # measures a pair in a failing group; it must report exactly the
-    # reference's violations, in (u, v) order, for numpy and list matrices.
+    # Verification compares the partition's coverage matrix with the
+    # distances; it must report exactly the reference's violations, in
+    # (u, v) order, for numpy and list matrices.
     rng = random.Random(41)
     flagged = 0
     for name, adr, graph in iter_fixtures():

@@ -116,6 +116,11 @@ def test_solve_node_limit(capsys):
     assert code == 1 and out.startswith("unknown")
 
 
+def test_solve_rejects_a_negative_node_limit(capsys):
+    code, out, err = run(capsys, "solve", "petersen", "--node-limit", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_solve_bad_spec(capsys):
     code, _, err = run(capsys, "solve", "dodecahedron")
     assert code == 2 and "graph spec" in err
@@ -144,6 +149,15 @@ def test_census_reports_skipped_lines(tmp_path, capsys):
     code, out, err = run(capsys, "census", str(path))
     assert code == 0
     assert "skipped" in err
+
+
+@pytest.mark.parametrize("r", ["1", "11"])
+def test_census_rejects_a_bad_alphabet_before_any_line(tmp_path, capsys, r):
+    path = tmp_path / "n3.g6"
+    path.write_bytes(b"BW\nBw\n")
+    code, out, err = run(capsys, "census", str(path), "--r", r)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: alphabet size")
 
 
 def test_random_demo_ok(capsys):

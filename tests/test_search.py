@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import squashcube.addressing
+import squashcube.search
 from squashcube.addressing import verify_addressing
+from squashcube.errors import SelfCheckError
 from squashcube.graphs import (
     Graph,
     bfs_distances,
@@ -246,6 +249,24 @@ def test_census_counts_every_other_graph_past_a_self_check_failure(monkeypatch, 
     assert res.errors == []
     assert [lineno for lineno, _ in res.internal_errors] == [path_line]
     assert "search witness fails verification" in res.internal_errors[0][1]
+
+
+def test_the_self_check_does_not_trust_the_filter_it_checks(monkeypatch):
+    # A filter that keeps every word lets the search assign garbage; the
+    # witness check must catch it, since it shares no code with the filter.
+    keep_all = lambda length, r: lambda words, w, t: list(words)
+    monkeypatch.setattr(squashcube.addressing, "distance_filter", keep_all)
+    monkeypatch.setattr(squashcube.search, "distance_filter", keep_all)
+    with pytest.raises(SelfCheckError, match="search witness fails verification"):
+        solve_N(SearchConfig(graph=petersen_graph(), r=2))
+
+
+@pytest.mark.parametrize("r, node_limit", [(1, None), (11, None), (2, -1)])
+def test_census_rejects_a_bad_alphabet_or_node_limit(r, node_limit):
+    with pytest.raises(ValueError):
+        census_distribution(["Bw"], r=r, node_limit=node_limit)
+    with pytest.raises(ValueError):
+        SearchConfig(graph=complete_graph(3), r=r, node_limit=node_limit)
 
 
 def test_census_small_orders():
