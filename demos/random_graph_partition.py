@@ -11,10 +11,11 @@ pieces, asymptotically n - (2 - o(1)) log2(n).
 At desk scale the threshold k is small, so the construction merely ties the
 classic n - 1 guarantee; the advantage kicks in once k reaches 6 (n >= 73):
 the size drops to n - 2 at n = 128 and to n - 4 at n = 256.  The one-seed
-rows at n = 512, 1024 and 2048 show n - size growing (5, 6, then 8) next to
-2 log2 n (18, 20, then 22); the gap is the paper's o(1) term.  Every
-partition is verified to hit the distance multiset exactly: its coverage
-matrix (how many pieces separate each pair) equals the distance matrix.
+rows at n = 512, 1024, 2048 and 4096 show n - size growing (5, 6, 8, then
+9) next to 2 log2 n (18, 20, 22, then 24); the gap is the paper's o(1)
+term.  Every partition is verified to hit the distance multiset exactly:
+its coverage matrix (how many pieces separate each pair) equals the
+distance matrix.
 """
 
 import time
@@ -59,7 +60,7 @@ def main():
         run_block(n, seeds=8)
     run_block(256, seeds=3)
     # one seed each: the o(1) table of n - size against 2 log2 n
-    for n in (512, 1024, 2048):
+    for n in (512, 1024, 2048, 4096):
         run_block(n, seeds=1)
 
 

@@ -3,7 +3,7 @@ merging, and partitions of dense random graphs built from an explicit
 one-or-two biclique cover of K_k (the grid cover of `one_two_cover`).
 
 Nothing here is trusted: every constructed addressing or partition is
-re-verified against BFS distances before it is returned.
+re-verified against the graph's distance matrix before it is returned.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .addressing import Addressing, STAR, check_addressing, partition_coverage, require_valid
-from .errors import DisconnectedGraphError, PreconditionError, SelfCheckError
+from .errors import PreconditionError, SelfCheckError
 from .graphs import (
     Graph,
     bfs_distances,
@@ -229,49 +229,49 @@ def random_partition(g, k):
     """Partition of the distance multigraph of a diameter-2 graph into at
     most n - k + ceil(2*sqrt(k)) + 1 multipartite pieces.
 
-    The k-vertex once-covered graph H of a one-or-two cover of K_k is
-    located as an induced subgraph (its image is W); the cover pieces are
-    mapped onto W, one biclique separates W from the rest, and one star per
-    outside vertex finishes the job.  The result is verified to hit the
-    distance multiset exactly before being returned: its coverage matrix
-    must equal the BFS distance matrix.  Raises PreconditionError when g is
-    not of diameter 2 with a common neighbour for every adjacent pair (the
-    star pieces need one), or holds no induced copy of H.
+    The precondition is that every pair has a common neighbour and g is not
+    complete, so the distances are read off the adjacency: 1 on the edges,
+    2 off them, 0 on the diagonal.  The k-vertex once-covered graph H of a
+    one-or-two cover of K_k is located as an induced subgraph (its image is
+    W); the cover pieces are mapped onto W, one biclique separates W from
+    the rest, and one star per outside vertex finishes the job.  Before it
+    is returned, the partition's coverage matrix must equal the distance
+    matrix.  Raises PreconditionError on the first pair (u, v) without a
+    common neighbour, on a diameter other than 2, or when g holds no
+    induced copy of H.
     """
     n = g.n
-    try:
-        dist = bfs_distances(g)
-    except DisconnectedGraphError as exc:
-        raise PreconditionError(str(exc)) from exc
+    if n == 0:
+        raise PreconditionError("the empty graph has no distance matrix")
+    adj = g.adj
+    for u, a in enumerate(adj):
+        if not all(map(a.__and__, adj[u + 1:])):
+            v = next(v for v in range(u + 1, n) if not a & adj[v])
+            raise PreconditionError(f"vertices {u},{v} have no common neighbor")
+    rows = np.frombuffer(b"".join(a.to_bytes(n // 8 + 1, "little") for a in adj), np.uint8)
+    bits = np.unpackbits(rows.reshape(n, -1), axis=1, count=n, bitorder="little")
+    dist = np.subtract(2, bits, dtype=np.int32)
+    del rows, bits   # freed before the coverage check, the peak of this call
+    np.fill_diagonal(dist, 0)
     if dist.max() != 2:
         raise PreconditionError(f"graph diameter is {int(dist.max())}, need exactly 2")
-    # A pair at distance 2 has a common neighbour; test the adjacent pairs.
-    adj = g.adj
-    for u, v in g.edges:
-        if not adj[u] & adj[v]:
-            raise PreconditionError(f"vertices {u},{v} have no common neighbor")
 
     cover = one_two_cover(k)
-    h = cover_to_H(cover)
-    phi = induced_embedding(g, h)
+    phi = induced_embedding(g, cover_to_H(cover))
     if phi is None:
-        raise PreconditionError(
-            f"no induced copy of the {k}-vertex cover graph in this graph"
-        )
+        raise PreconditionError(f"no induced copy of the {k}-vertex cover graph in this graph")
 
-    everyone = (1 << n) - 1
-    outside_mask = everyone ^ sum(1 << w for w in phi)
-    outside = set_bits(outside_mask)
-    pieces = [
-        [sorted(phi[u] for u in a), sorted(phi[v] for v in b)]
-        for a, b in cover.pieces
-    ]
+    is_outside = np.ones(n, bool)
+    is_outside[phi] = False
+    outside = np.flatnonzero(is_outside).tolist()
+    pieces = [[sorted(phi[u] for u in a), sorted(phi[v] for v in b)] for a, b in cover.pieces]
     if outside:
         pieces.append([sorted(phi), outside])
     for z in outside:
         # z's star: its non-neighbours, and its outside neighbours below z
-        non_neighbours = everyone ^ adj[z] ^ 1 << z
-        leaves = set_bits(non_neighbours | adj[z] & outside_mask & ((1 << z) - 1))
+        star = dist[z] == 2
+        star[:z] |= (dist[z, :z] == 1) & is_outside[:z]
+        leaves = np.flatnonzero(star).tolist()
         if leaves:
             pieces.append([[z], leaves])
 

@@ -159,10 +159,10 @@ def random_graph(n, seed):
     """G(n, 1/2): every pair an edge independently with probability 1/2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    pairs = list(combinations(range(n), 2))
-    coins = rng.random(len(pairs)) < 0.5
-    return Graph(n, [p for p, c in zip(pairs, coins) if c])
+    coins = np.random.default_rng(seed).random(n * (n - 1) // 2) < 0.5   # combinations order
+    rows = np.split(coins, np.cumsum(np.arange(n - 1, 1, -1)))   # row u: the pairs (u, v > u)
+    return Graph(n, ((u, u + 1 + v) for u, row in enumerate(rows)
+                     for v in np.flatnonzero(row).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -236,11 +236,12 @@ def test_random_partition_n64():
         assert np.array_equal(partition_coverage(parts, 64), bfs_distances(g))
 
 
+def digest(g, k):
+    return hashlib.sha1(json.dumps(random_partition(g, k)).encode()).hexdigest()
+
+
 def test_random_partition_pieces_are_pinned():
     """The piece lists themselves, in order, not only their coverage."""
-    def digest(g, k):
-        return hashlib.sha1(json.dumps(random_partition(g, k)).encode()).hexdigest()
-
     k = k_threshold(64)
     assert [digest(random_graph(64, seed), k) for seed in range(3)] == [
         "6ddc117463717c515f8bc3ddebd961f7bc0920f9",
@@ -248,6 +249,15 @@ def test_random_partition_pieces_are_pinned():
         "4359c887f18579bd17e9cb95d240c06093bfac04",
     ]
     assert digest(random_graph(256, [0, 256]), 9) == "7a4b2b661e1ac1497e3c1999e376d5f349099d95"
+
+
+def test_random_partition_reads_distances_off_the_adjacency(monkeypatch):
+    # every pair has a common neighbour, so the distances are 1 and 2: no BFS
+    def no_bfs(g):
+        raise AssertionError("random_partition ran a BFS")
+
+    monkeypatch.setattr(squashcube.constructions, "bfs_distances", no_bfs)
+    test_random_partition_pieces_are_pinned()
 
 
 def test_random_partition_degenerate_k1():
@@ -273,9 +283,23 @@ def test_random_partition_preconditions():
         random_partition(cycle_graph(7), 2)             # diameter 3
 
 
+def test_random_partition_precondition_messages():
+    cases = [
+        (Graph(4, [(0, 1), (2, 3)]), "vertices 0,1 have no common neighbor"),
+        (cycle_graph(7), "vertices 0,1 have no common neighbor"),
+        (complete_graph(5), "graph diameter is 1, need exactly 2"),
+        (Graph(1), "graph diameter is 0, need exactly 2"),
+    ]
+    for g, message in cases:
+        with pytest.raises(PreconditionError) as info:
+            random_partition(g, 2)
+        assert str(info.value) == message
+    with pytest.raises(PreconditionError, match="the empty graph has no distance matrix"):
+        random_partition(Graph(0), 2)
+
+
 def test_random_partition_names_the_first_pair_without_common_neighbour():
-    # the bitmask test of adjacent pairs reports the same first pair as
-    # intersecting the neighbourhoods of every pair in (u, v) order
+    # the first pair, in (u, v) order, whose neighbourhoods do not intersect
     named = 0
     for g in connected_graphs(6):
         if bfs_distances(g).max() != 2:

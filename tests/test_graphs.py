@@ -156,6 +156,14 @@ def test_multipartite_distances():
     assert d[0][1] == 2 and d[0][2] == 1
 
 
+def test_random_graph_draws_one_coin_per_pair_in_combinations_order():
+    for n in (1, 2, 3, 17, 64):
+        for seed in (5, [5, n]):
+            pairs = list(itertools.combinations(range(n), 2))
+            coins = np.random.default_rng(seed).random(len(pairs)) < 0.5
+            assert random_graph(n, seed) == Graph(n, [p for p, c in zip(pairs, coins) if c])
+
+
 def test_random_graph_determinism_and_statistics():
     assert random_graph(1, 0).num_edges == 0
     for seed in (0, 1, 2):
