@@ -30,20 +30,28 @@ solution survives down to a leaf.
 
 One recursion does all the work, from the root down.  The root's
 candidates are the words 0^wt *^(L-wt) for wt from the first anchor's
-eccentricity to L.  Every list, at the root and below it, goes through one
-per-shape filter, `addressing.distance_filter`, built once per length (one
-list comprehension per list, with no call per word).  Once the first anchor
-has its word, the filter buckets the low and the high half-words by their
-distance to it, and one meet-in-the-middle join of the buckets builds, for
-each distance that some vertex needs, the sorted list of all words at that
-distance (so the full symbol space is never materialized); vertices at
-equal distance from the first anchor share one list, which is safe because
-lists are never mutated, only filtered into new ones.  Below the root,
-every assignment filters each remaining vertex's list by its distance to
-the new word; vertices holding the same list at the same distance get one
-shared filtered list.  The vertex with the fewest candidates is assigned
-next.  Every witness is re-verified before it is returned, through the
-coverage matrix of its partition, which shares no code with the filter.
+eccentricity to L.  Every list goes through one per-shape filter,
+`addressing.distance_filter`, built once per length (one list comprehension
+per list, with no call per word).  While the (up to three) anchors get
+their words, a list is the set of all words at given distances from the
+anchor words placed so far, so it can be built without the full symbol
+space: the low and the high half-words sit in buckets keyed by their
+vector of distances to those words, a new anchor word splits every bucket
+by distance (one filter pass per distance), which extends the key by one
+entry, and a vertex's list is the sorted union of lo | hi over the bucket
+pairs whose keys add up to its target vector (a meet-in-the-middle join).
+The root is the empty vector: one bucket per half.  Before the last anchor
+only the next anchor's list is built, and a vertex whose bucket pairs are
+all empty ends the node; at the last anchor every list is built.  A node
+whose lists are short filters them instead (the rule is in `joins`), and
+below the anchors every assignment filters each remaining vertex's list by
+its distance to the new word.  Both routes give the same sorted lists, so
+the tree does not depend on the route.  Vertices that need the same
+distances share one list, which is safe because lists are never mutated,
+only filtered into new ones.  The vertex with the fewest candidates is
+assigned next.  Every witness is re-verified before it is returned,
+through the coverage matrix of its partition, which shares no code with
+the filter.
 """
 
 import multiprocessing
@@ -194,35 +202,121 @@ class _Searcher:
         ]
         low = _enumerate_half(single[: length // 2])
         high = _enumerate_half(single[length // 2:])
+        half_care = ((1 << length // 2) - 1, care >> length // 2 << length // 2)
 
-        def words_at(w, targets):
-            """The sorted words at each target distance from w, joined from
-            the half-words bucketed by their distance to w."""
-            top = range(max(targets) + 1)
-            by_low = [at(low, w, d) for d in top]
-            by_high = [at(high, w, d) for d in top]
-            return {
-                t: sorted(
-                    lo | h for d in range(t + 1) for lo in by_low[d] for h in by_high[t - d]
-                )
-                for t in targets
-            }
+        # A half-word's key packs its distances to the anchor words placed so
+        # far, anchor i's in the field at bit i * width, so a low key plus a
+        # high key is the whole word's key.  A goal minus a low key that
+        # exceeds it in some field borrows, and the fields are wide enough
+        # that the borrowing field then exceeds any distance: no high key.
+        width = (2 * length + 1).bit_length()
+        last = len(anchors) - 1
+        # goal[d][u]: the key of u's words once anchors 0..d-1 have theirs
+        goal = [[0] * n]
+        for i, a in enumerate(anchors):
+            shift = i * width
+            goal.append([g | x << shift for g, x in zip(goal[-1], dist[a])])
+        # plan[d]: for the node that gives anchor d its word, the vertices
+        # still without one after it, their largest distance to the anchor
+        # and the goals of their lists in the child.
+        rest = [u for u in range(n) if u not in anchors]
+        plan = []
+        for d, v in enumerate(anchors):
+            others = anchors[d + 1:] + rest
+            child = goal[d + 1]
+            plan.append((
+                others,
+                max(map(dist[v].__getitem__, others), default=0),
+                {child[u] for u in others},
+            ))
 
-        def children(v, cand, lists, depth):
+        def split(buckets, w, top, shift):
+            """Each bucket split by its words' distance to w, up to top."""
+            out = {}
+            for key, words in buckets.items():
+                for t in range(top + 1):
+                    part = at(words, w, t)
+                    if part:
+                        out[key | t << shift] = part
+            return out
+
+        def joined(lo, hi, g):
+            """The sorted words of goal g: lo | hi over the pairs of buckets
+            whose keys add up to g."""
+            return sorted([a | b for k in lo if g - k in hi for b in hi[g - k] for a in lo[k]])
+
+        def every_list(lo, hi, vertices, goals):
+            """The joined lists of these vertices, one list per goal."""
+            by_goal = {g: joined(lo, hi, g) for g in {goals[u] for u in vertices}}
+            return {u: by_goal[goals[u]] for u in vertices}
+
+        def joins(halves, depth):
+            """Whether this node's children cost less to join than to filter.
+
+            Both routes spend their time in passes of the filter `at`:
+            filtering makes one pass per distinct list and distance, over
+            the list's words (a list's size is the sum of |lo bucket| *
+            |hi bucket| over its bucket pairs, so no list is built to count
+            it); the join makes one pass per bucket and distance up to top,
+            over the bucket's words, in each half.  A pass costs about eight
+            word tests on top of its words (a call, a loop step and a store:
+            about 0.75 us against 0.1 us per word tested with CPython 3.11,
+            r = 2), so the join runs where its passes cost less.  Short
+            lists split into buckets of a few words each, so they keep the
+            filter; long lists are cheaper to join at every anchor depth.
+            """
+            lo, hi = halves
+            _, top, goals = plan[depth]
+            words = sum(map(len, lo.values())) + sum(map(len, hi.values()))
+            splitting = (top + 1) * (8 * (len(lo) + len(hi)) + words)
+            mask = (1 << depth * width) - 1      # a child goal's parent goal
+            filtering = 0
+            for g in goals:
+                g &= mask
+                filtering += 8 + sum([len(a) * len(hi[g - k]) for k, a in lo.items()
+                                      if g - k in hi])
+            return filtering > splitting
+
+        def join_children(cand, halves, depth):
+            """The child's (lists, halves) once the anchor has cand; (None,
+            None) if some vertex runs dry.
+
+            Every bucket is split by its words' distance to cand, which
+            extends its key by one entry.  A vertex's list joins the bucket
+            pairs whose keys add up to its goal, so it is empty exactly when
+            no pair does.  Before the last anchor only the next anchor's list
+            is built, and the buckets that no goal pairs up are dropped; at
+            the last anchor every list is built and the buckets are let go.
+            """
+            others, top, goals = plan[depth]
+            shift = depth * width
+            lo = split(halves[0], cand, min(top, (cand & half_care[0]).bit_count()), shift)
+            hi = split(halves[1], cand, min(top, (cand & half_care[1]).bit_count()), shift)
+            pairs = {}
+            for g in goals:
+                keys = pairs[g] = [k for k in lo if g - k in hi]
+                if not keys:
+                    return None, None
+            if depth == last:
+                return every_list(lo, hi, others, goal[depth + 1]), None
+            nxt = anchors[depth + 1]
+            return {nxt: joined(lo, hi, goal[depth + 1][nxt])}, (
+                {k: lo[k] for keys in pairs.values() for k in keys},
+                {g - k: hi[g - k] for g, keys in pairs.items() for k in keys},
+            )
+
+        def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
 
-            Vertices that need the same distance share one list: at the
-            root, one join serves each distance; below it, vertices that
-            hold the same list get one filtered copy.  Sharing is safe
-            because lists are only ever filtered into new ones, never
-            mutated, and keying on id() is safe because `lists` keeps every
-            list alive during the call.
+            This is the route below the anchors, and at an anchor depth
+            whose lists `joins` finds cheaper to filter than to join; both
+            routes give the same sorted lists.  Vertices that hold the same
+            list at the same distance from v
+            get one filtered copy.  Sharing is safe because lists are only
+            ever filtered into new ones, never mutated, and keying on id()
+            is safe because `lists` keeps every list alive during the call.
             """
             dv = dist[v]
-            if depth == 0:
-                others = [u for u in range(n) if u != v]
-                by_dist = words_at(cand, {dv[u] for u in others})
-                return {u: by_dist[dv[u]] for u in others}
             out = {}
             shared = {}
             for u, lst in lists.items():
@@ -238,14 +332,17 @@ class _Searcher:
 
         witness = {}
 
-        def dfs(lists, state, floors, depth):
+        def dfs(lists, halves, state, floors, depth):
             """floors: the weight floors from automorphism orbits, raised as
             the anchors get words."""
             nonlocal nodes
             if not lists:
                 return True
-            if depth < len(anchors):
+            if depth <= last:
                 v = anchors[depth]
+                if halves is not None and not joins(halves, depth):
+                    lists = {**every_list(*halves, plan[depth][0], goal[depth]), v: lists[v]}
+                    halves = None
             else:
                 v = min(lists, key=lambda u: (len(lists[u]), u))
             floor = floors.get(v, 0)
@@ -260,14 +357,18 @@ class _Searcher:
                 new_state = step(state, cand)
                 if new_state is None:
                     continue
-                new_lists = children(v, cand, lists, depth)
+                if halves is None:
+                    new_lists = children(v, cand, lists)
+                    new_halves = None
+                else:
+                    new_lists, new_halves = join_children(cand, halves, depth)
                 if new_lists is None:
                     continue
                 witness[v] = cand
                 below = floors
                 if members:
                     below = {**floors, **{u: max(floors.get(u, 0), wt) for u in members}}
-                if dfs(new_lists, new_state, below, depth + 1):
+                if dfs(new_lists, new_halves, new_state, below, depth + 1):
                     return True
             return False
 
@@ -276,7 +377,7 @@ class _Searcher:
             sum(s[0] for s in single[:wt]) for wt in range(max(dist[v1]), length + 1)
         ]
         try:
-            found = dfs({v1: roots}, start, {}, 0)
+            found = dfs({v1: roots}, ({0: low}, {0: high}), start, {}, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 
@@ -356,9 +457,12 @@ def census_distribution(lines, r=2, jobs=1, node_limit=None):
     Bad lines (parse errors, disconnected graphs, node-limit hits) are
     skipped and reported in the result's `errors` list; a line whose solve
     fails a self-check is reported in `internal_errors` instead.  A bad
-    alphabet size or node limit raises ValueError before any line is solved.
+    alphabet size, node limit or job count raises ValueError before any line
+    is solved; `jobs=None` means one process per core.
     """
     _check_limits(r, node_limit)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"job count must be >= 1, got {jobs}")
     tasks = [
         (i, line, r, node_limit)
         for i, line in enumerate(lines, start=1)

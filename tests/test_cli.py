@@ -160,6 +160,15 @@ def test_census_rejects_a_bad_alphabet_before_any_line(tmp_path, capsys, r):
     assert len(err.splitlines()) == 1 and err.startswith("error: alphabet size")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_census_rejects_a_job_count_below_one_before_any_line(tmp_path, capsys, jobs):
+    path = tmp_path / "n3.g6"
+    path.write_bytes(b"BW\nBw\n")
+    code, out, err = run(capsys, "census", str(path), "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: job count")
+
+
 def test_random_demo_ok(capsys):
     code, out, _ = run(capsys, "random-demo", "-n", "64", "--seed", "3")
     assert code == 0

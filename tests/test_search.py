@@ -16,6 +16,7 @@ from squashcube.graphs import (
     emit_graph6,
     is_connected,
     johnson_graph,
+    path_graph,
     petersen_graph,
     random_graph,
 )
@@ -113,8 +114,6 @@ def test_johnson_k2_construction_is_optimal_for_n4_and_n5():
 def test_large_alphabet_fallback_packing():
     # r = 5 is the smallest alphabet whose digits take three bitplanes;
     # check it against brute force
-    from squashcube.graphs import path_graph
-
     for g in (complete_graph(3), path_graph(3), cycle_graph(5)):
         dist = [[int(x) for x in row] for row in bfs_distances(g)]
         res = solve_N(SearchConfig(graph=g, r=5))
@@ -227,6 +226,49 @@ def test_node_counts_and_witnesses_are_pinned():
         assert verify_addressing(bfs_distances(graph), res.addressing) == []
 
 
+def test_odd_cycles_at_r3_keep_their_node_counts_and_witnesses():
+    # Long lists: the search joins half-words at every anchor depth here.
+    # Value, node count and witness are those of the filter-only search.
+    cases = [
+        (13, 2360, ("000000**", "0000010*", "0000110*", "00101100", "01101100",
+                    "1110110*", "111111**", "111112**", "1112*21*", "112*021*",
+                    "2*2*0211", "002*0211", "0000021*")),
+        (15, 4095, ("0000000**", "00000010*", "00000110*", "000101100",
+                    "001101100", "011101100", "11110110*", "1111111**",
+                    "1111112**", "11112*21*", "1112*021*", "21*2*0211",
+                    "*202*0211", "0002*0211", "00000021*")),
+    ]
+    for n, nodes, words in cases:
+        g = cycle_graph(n)
+        res = solve_N(SearchConfig(graph=g, r=3))
+        assert (res.value, res.exhausted) == (len(words[0]), True)
+        assert (res.nodes_explored, res.addressing.words) == (nodes, words)
+        assert verify_addressing(bfs_distances(g), res.addressing) == []
+
+
+@pytest.mark.parametrize(
+    "graph,r",
+    [
+        (cycle_graph(9), 3),
+        (cycle_graph(11), 3),
+        (petersen_graph(), 2),
+        (complete_multipartite([3, 3, 3]), 3),
+        (complete_graph(2), 2),
+        (path_graph(3), 2),
+        (complete_graph(3), 3),
+    ],
+)
+def test_fewer_anchors_give_the_same_value(graph, r):
+    # With one or two first vertices the last anchor depth is 0 or 1, so
+    # the join builds every list there instead of at depth 2.
+    value = solve_N(SearchConfig(graph=graph, r=r)).value
+    n = graph.n
+    for first in [(0,), (n - 1,), (0, n - 1), (n - 1, (n - 1) // 2)]:
+        res = solve_N(SearchConfig(graph=graph, r=r, first_vertices=first))
+        assert res.value == value, first
+        assert verify_addressing(bfs_distances(graph), res.addressing) == []
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_census_counts_every_other_graph_past_a_self_check_failure(monkeypatch, jobs):
     # Verification fails only for the path P4, the one connected 4-vertex
@@ -267,6 +309,16 @@ def test_census_rejects_a_bad_alphabet_or_node_limit(r, node_limit):
         census_distribution(["Bw"], r=r, node_limit=node_limit)
     with pytest.raises(ValueError):
         SearchConfig(graph=complete_graph(3), r=r, node_limit=node_limit)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_census_rejects_a_job_count_below_one(monkeypatch, jobs):
+    def solve(cfg):
+        raise AssertionError("no line may be solved")
+
+    monkeypatch.setattr(squashcube.search, "solve_N", solve)
+    with pytest.raises(ValueError, match="job count"):
+        census_distribution(["Bw"], r=2, jobs=jobs)
 
 
 def test_census_small_orders():
