@@ -32,6 +32,14 @@ class Graph:
 
     __slots__ = ("n", "adj")
 
+    @classmethod
+    def _from_adj(cls, adj):
+        """The graph with these neighbour masks, taken as they are."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        return g
+
     def __init__(self, n, edges=()):
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
@@ -306,29 +314,60 @@ def emit_graph6(g):
 
 # ---------------------------------------------------------------------------
 # symmetry: one search over refined vertex orderings gives both the canonical
-# label and the automorphism group; the small censuses dedupe on the label
+# label and generators of the automorphism group; the small censuses dedupe
+# on the label
 
 def _refine_colors(nbrs):
     colors = [len(a) for a in nbrs]
     for _ in range(len(nbrs)):
-        keys = [(c, tuple(sorted(colors[u] for u in a))) for c, a in zip(colors, nbrs)]
+        keys = [(c, tuple(sorted([colors[u] for u in a]))) for c, a in zip(colors, nbrs)]
         relabel = {key: i for i, key in enumerate(sorted(set(keys)))}
         new = [relabel[k] for k in keys]
-        if new == colors:
-            break
+        if new == colors or len(relabel) == len(nbrs):   # stable, or every class a singleton
+            return new
         colors = new
     return colors
 
 
+def _close(mask, perms):
+    """The union of the orbits of mask's bits under the group the
+    permutations generate, as a bitmask."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        for s in perms:
+            bit = 1 << s[v]
+            if not mask & bit:
+                mask |= bit
+                todo |= bit
+    return mask
+
+
 def _least_orderings(g):
-    """Canonical label `(n, rows)` and every vertex ordering that reaches it.
+    """Canonical label `(n, rows)`, the first ordering that reaches it, and
+    automorphisms that generate the group.
 
     The orderings list the `_refine_colors` classes in color order.  A
     vertex's row is the bitmask of the placed positions it is adjacent to,
     so the rows in placement order spell out the graph; the label is the
-    lexicographically least row sequence.  Automorphisms preserve the refined
-    colors, so the orderings that reach the label form one coset of the
-    automorphism group, and the search costs at least the group's order.
+    lexicographically least row sequence.  Two orderings with equal rows
+    differ by an automorphism, and automorphisms preserve the refined colors
+    and the rows, so they map the tree of orderings onto itself.
+
+    A leaf whose rows equal those of the first leaf that reached the current
+    best gives the automorphism from that leaf to it, which stays one if a
+    better label turns up later.  Two prunings use what has been found
+    (McKay and Piperno, "Practical graph isomorphism, II", JSC 2014): a node
+    skips a child in the orbit of an explored child under the automorphisms
+    found so far that fix the placed vertices, and a leaf that gives an
+    automorphism returns to the node where it parts from that first leaf,
+    since the rest of the subtree below is the image of one already
+    explored.  Neither hides a row sequence from the search.  For every k,
+    the automorphisms found that fix the first k vertices of the returned
+    ordering generate the group that fixes them, so they are a strong
+    generating set on that ordering as base.
     """
     n = g.n
     if n > SYMMETRY_CAP:
@@ -341,15 +380,26 @@ def _least_orderings(g):
     slots = [members[c] for c in sorted(colors)]   # position -> its class
     rows = [0] * n
     free = [True] * n
-    order, best, found = [], [], []
+    order, best, gens, fixes = [], [], [], []
+    first = None      # the first ordering that reached best
+    back = n          # after an automorphism: the depth to return to
 
-    def place(p):
+    def place(p, placed):
         # invariant: the rows placed so far equal best[:p]
+        nonlocal first, back
         if p == n:
-            found.append(tuple(order))
+            if first is None:
+                first = tuple(order)
+                return
+            perm = [0] * n
+            for a, b in zip(first, order):
+                perm[a] = b
+            gens.append(tuple(perm))
+            fixes.append(sum([1 << v for v in range(n) if perm[v] == v]))
+            back = next(q for q in range(n) if first[q] != order[q])
             return
         cls = [v for v in slots[p] if free[v]]
-        least = min(rows[v] for v in cls)
+        least = min([rows[v] for v in cls])
         if p == len(best):
             best.append(least)
         elif least != best[p]:
@@ -357,34 +407,99 @@ def _least_orderings(g):
                 return
             del best[p:]
             best.append(least)
-            found.clear()
+            first = None
         bit = 1 << p
+        seen = 0          # the explored children's orbits
+        stab = []         # the automorphisms found that fix the placed vertices
+        used = 0          # how many of gens stab has looked at
         for v in cls:
             if rows[v] != least:
+                continue
+            if used < len(gens):
+                stab.extend([s for s, f in zip(gens[used:], fixes[used:]) if f & placed == placed])
+                used = len(gens)
+                seen = _close(seen, stab)
+            if seen >> v & 1:
                 continue
             free[v] = False
             order.append(v)
             for u in nbrs[v]:
                 rows[u] |= bit
-            place(p + 1)
+            place(p + 1, placed | 1 << v)
             for u in nbrs[v]:
                 rows[u] ^= bit
             order.pop()
             free[v] = True
+            if back < p:
+                return
+            back = n
+            seen = _close(seen | 1 << v, stab)
 
-    place(0)
-    return (n, tuple(best)), found
+    place(0, 0)
+    return (n, tuple(best)), first, gens
+
+
+def _transversal(v, gens, n):
+    """{w: an element of the group the permutations generate that takes v to w}."""
+    trans = {v: tuple(range(n))}
+    queue = [v]
+    for x in queue:
+        t = trans[x]
+        for s in gens:
+            y = s[x]
+            if y not in trans:
+                trans[y] = tuple(map(s.__getitem__, t))
+                queue.append(y)
+    return trans
+
+
+def _schreier(trans, gens):
+    """Generators of the stabilizer of the transversal's base point, by
+    Schreier's lemma: t(s x)^-1 s t(x) over orbit points x and generators s,
+    without repeats or the identity."""
+    n = len(gens[0])
+    inverse = {y: sorted(range(n), key=u.__getitem__) for y, u in trans.items()}
+    identity = tuple(range(n))
+    out = {}
+    for x, t in trans.items():
+        for s in gens:
+            inv = inverse[s[x]]
+            h = tuple([inv[s[i]] for i in t])
+            if h != identity:
+                out[h] = None
+    return list(out)
 
 
 def automorphisms(g):
     """Full automorphism group as a list of vertex permutations (tuples).
 
-    Maps the first ordering that reaches the canonical label to each of
-    them.  Raises CapabilityError above SYMMETRY_CAP vertices.
+    Multiplies out the transversals of the stabilizer chain that the base
+    and strong generators of `_least_orderings` give, level by level, so
+    each automorphism is built once from an earlier one.  Raises
+    CapabilityError above SYMMETRY_CAP vertices.
     """
-    _, orderings = _least_orderings(g)
-    where = sorted(range(g.n), key=orderings[0].__getitem__)   # vertex -> position
-    return [tuple(o[p] for p in where) for o in orderings]
+    _, base, gens = _least_orderings(g)
+    perms = [tuple(range(g.n))]
+    for k in reversed(range(g.n)):
+        stab = [s for s in gens if all(s[v] == v for v in base[:k])]
+        trans = _transversal(base[k], stab, g.n)
+        if len(trans) > 1:
+            perms = [tuple(map(t.__getitem__, p)) for t in trans.values() for p in perms]
+    return perms
+
+
+def stabilizer_orbits(g, points):
+    """The orbit of each points[i] under the automorphisms that fix
+    points[:i], as sets, from generators and without listing the group.
+    Raises CapabilityError above SYMMETRY_CAP vertices."""
+    _, _, gens = _least_orderings(g)
+    orbits = []
+    for i, v in enumerate(points):
+        trans = _transversal(v, gens, g.n)
+        orbits.append(set(trans))
+        if len(trans) > 1 and i + 1 < len(points):
+            gens = _schreier(trans, gens)
+    return orbits
 
 
 def canonical_form(g):
@@ -396,19 +511,22 @@ def canonical_form(g):
     return _least_orderings(g)[0]
 
 
-def all_graphs(n):
-    """All graphs on n vertices up to isomorphism, by vertex augmentation.
+def _components(adj):
+    """The vertex sets of the connected components, as bitmasks."""
+    parts = []
+    left = (1 << len(adj)) - 1
+    while left:
+        row = _bfs_row(adj, (left & -left).bit_length() - 1)
+        part = sum([1 << u for u, d in enumerate(row) if d >= 0])
+        parts.append(part)
+        left &= ~part
+    return parts
 
-    Level m joins a new vertex m-1 to each graph g of level m-1 along a
-    neighbourhood mask, masks in increasing order, and keeps a child when
-    its canonical label is new.  Masks in one orbit of Aut(g) give
-    isomorphic children, so only the least mask of each orbit is labelled:
-    each labelled mask marks its images under every automorphism as done.
-    The kept representatives and their order are those of labelling every
-    mask, since a skipped mask's child is isomorphic to that of a smaller
-    mask of the same parent, labelled earlier, and so is never new
-    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
-    """
+
+def _augmented(n, connected):
+    """The graphs of `all_graphs(n)`, or with `connected` just the
+    connected ones: a child of the last level is then labelled only when
+    its mask meets every component of the parent."""
     if n > CANONICAL_CAP:
         raise CapabilityError(f"graph census capped at {CANONICAL_CAP} vertices (n={n})")
     if n < 1:
@@ -417,16 +535,25 @@ def all_graphs(n):
     for m in range(2, n + 1):
         seen = set()
         nxt = []
+        new = 1 << (m - 1)
         for g in level:
-            base_edges = g.edges
-            perms = automorphisms(g)
+            gens = _least_orderings(g)[2]
+            parts = _components(g.adj) if connected and m == n else ()
             done = set()
-            for mask in range(1 << (m - 1)):
-                if mask in done:
+            for mask in range(new):
+                if mask in done or not all([mask & c for c in parts]):
                     continue
-                nbrs = set_bits(mask)
-                done.update(sum(1 << p[u] for u in nbrs) for p in perms)
-                h = Graph(m, list(base_edges) + [(u, m - 1) for u in nbrs])
+                if gens:
+                    orbit = [mask]
+                    for x in orbit:
+                        bits = set_bits(x)
+                        for s in gens:
+                            y = sum([1 << s[u] for u in bits])
+                            if y not in done:
+                                done.add(y)
+                                orbit.append(y)
+                h = Graph._from_adj(
+                    tuple([a | new if mask >> u & 1 else a for u, a in enumerate(g.adj)]) + (mask,))
                 key = canonical_form(h)
                 if key not in seen:
                     seen.add(key)
@@ -435,6 +562,26 @@ def all_graphs(n):
     return level
 
 
+def all_graphs(n):
+    """All graphs on n vertices up to isomorphism, by vertex augmentation.
+
+    Level m joins a new vertex m-1 to each graph g of level m-1 along a
+    neighbourhood mask, masks in increasing order, and keeps a child when
+    its canonical label is new.  Masks in one orbit of Aut(g) give
+    isomorphic children, so only the least mask of each orbit is labelled:
+    each labelled mask marks its orbit under the generators as done.  The
+    kept representatives and their order are those of labelling every
+    mask, since a skipped mask's child is isomorphic to that of a smaller
+    mask of the same parent, labelled earlier, and so is never new
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+    """
+    return _augmented(n, False)
+
+
 def connected_graphs(n):
-    """All connected graphs on n vertices up to isomorphism."""
-    return [g for g in all_graphs(n) if is_connected(g)]
+    """All connected graphs on n vertices up to isomorphism, in the order of
+    `all_graphs(n)`.  A child is connected exactly when the new vertex's
+    mask meets every component of its parent, and a disconnected child is
+    never isomorphic to a connected one, so the last level labels only the
+    masks that do."""
+    return _augmented(n, True)

@@ -14,9 +14,10 @@ Three prunings keep the tree small, all sound and none affecting the verdict:
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the
-    one- and two-point stabilizers.  The floors ride the path: an anchor
-    passes its raised floors down the recursion in a new dict, so nothing
-    is saved or restored on the way back.
+    one- and two-point stabilizers.  The orbits come from generators of the
+    group (`graphs.stabilizer_orbits`), which is never listed.  The floors
+    ride the path: an anchor passes its raised floors down the recursion in
+    a new dict, so nothing is saved or restored on the way back.
 
 The lex-leader pruning is sound at every depth, under the dynamic vertex
 order too.  Take the partial assignment P on the path and a solution S that
@@ -71,7 +72,7 @@ from .addressing import (
     unpack_word,
 )
 from .errors import CapabilityError, SelfCheckError
-from .graphs import Graph, automorphisms, bfs_distances, parse_graph6
+from .graphs import Graph, bfs_distances, parse_graph6, stabilizer_orbits
 from .spectral import lower_bound
 
 
@@ -164,17 +165,11 @@ class _Searcher:
     def _orbit_constraints(self):
         """{anchor index: the rest of its orbit} for the weight-floor pruning."""
         try:
-            perms = automorphisms(self.cfg.graph)
+            orbits = stabilizer_orbits(self.cfg.graph, self.anchors)
         except CapabilityError:
             return {}
-        floors = {}
-        for i, v in enumerate(self.anchors):
-            members = {p[v] for p in perms}
-            members.discard(v)
-            if members:
-                floors[i] = members
-            perms = [p for p in perms if p[v] == v]
-        return floors
+        return {i: orbit - {v} for i, (v, orbit) in enumerate(zip(self.anchors, orbits))
+                if len(orbit) > 1}
 
     def run(self, length):
         n = self.n

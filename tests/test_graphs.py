@@ -444,6 +444,37 @@ def test_all_graphs_labels_one_child_per_orbit(monkeypatch):
     assert unpruned == [2, 10, 42, 218, 1306, 11290]
 
 
+def test_connected_graphs_label_only_connected_children(monkeypatch):
+    """The last level labels only masks that meet every component of the
+    parent, and keeps the representatives of filtering `all_graphs`."""
+    for n in range(1, 7):
+        assert connected_graphs(n) == [g for g in all_graphs(n) if is_connected(g)]
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(graphs_module, "canonical_form", counted)
+    labelled = []
+    for n in range(2, 8):
+        calls.clear()
+        connected_graphs(n)
+        labelled.append(len(calls))
+    assert labelled == [1, 5, 19, 86, 525, 4968]
+
+
+def test_the_ordering_search_of_k12_returns_a_few_generators():
+    """K_12 has 12! automorphisms; the search prunes by those it finds and
+    returns the 11 adjacent transpositions, one per level of the stabilizer
+    chain."""
+    assert canonical_form(complete_graph(12)) == (12, tuple((1 << p) - 1 for p in range(12)))
+    _, base, gens = graphs_module._least_orderings(complete_graph(12))
+    assert base == tuple(range(12))
+    moved = sorted([v for v in range(12) if s[v] != v] for s in gens)
+    assert moved == [[v, v + 1] for v in range(11)]
+
+
 def test_canonical_form_separates_same_degree_graphs():
     """Equal labels exactly for isomorphic pairs, at 9-12 vertices.
 

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import squashcube.addressing
+import squashcube.graphs
 import squashcube.search
 from squashcube.addressing import verify_addressing
 from squashcube.errors import SelfCheckError
 from squashcube.graphs import (
     Graph,
+    automorphisms,
     bfs_distances,
     complete_graph,
     complete_multipartite,
@@ -152,6 +154,42 @@ def test_first_vertices_override():
         solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 99)))
     with pytest.raises(ValueError):
         solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 0)))
+
+
+def test_the_solver_never_lists_the_automorphism_group(monkeypatch):
+    def refuse(g):
+        raise AssertionError("the solver listed the whole automorphism group")
+
+    monkeypatch.setattr(squashcube.graphs, "automorphisms", refuse)
+    for g, value in ((complete_multipartite([3, 3, 3]), 7), (petersen_graph(), 6),
+                     (cycle_graph(12), 6), (complete_graph(12), 11)):
+        cfg = SearchConfig(graph=g, r=2)
+        assert squashcube.search._Searcher(cfg).orbit_floors
+        res = solve_N(cfg)
+        assert (res.value, res.exhausted) == (value, True)
+
+
+def _floors_from_the_whole_group(g, anchors):
+    """{anchor index: the rest of its orbit}, filtering every automorphism
+    down the anchors' stabilizers."""
+    perms = automorphisms(g)
+    floors = {}
+    for i, v in enumerate(anchors):
+        members = {p[v] for p in perms} - {v}
+        if members:
+            floors[i] = members
+        perms = [p for p in perms if p[v] == v]
+    return floors
+
+
+def test_anchor_orbits_from_generators_match_the_whole_group():
+    named = [petersen_graph(), complete_multipartite([3, 3, 3]), complete_multipartite([4, 4, 1]),
+             complete_multipartite([4, 3, 2]), cycle_graph(12)]
+    for g in [g for n in range(1, 7) for g in connected_graphs(n)] + named:
+        for first in (None, tuple(reversed(range(g.n)))[:3]):
+            searcher = squashcube.search._Searcher(SearchConfig(graph=g, first_vertices=first))
+            expected = _floors_from_the_whole_group(g, searcher.anchors)
+            assert searcher.orbit_floors == expected, (emit_graph6(g), first)
 
 
 def test_search_config_rejects_bad_r():
