@@ -12,9 +12,14 @@ bitplanes of L bits each, plane b holding bit b of every digit in binary.
 One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
 three and r <= 10 four.
 
-Two helpers are built once per word shape (length, r): distance_filter
-gives at(words, w, t), which serves every candidate list, and canonical_step
-gives the row-by-row lex-leader test.  Verification uses none of this: it
+Two helpers are built per word shape (length, r): distance_filter gives
+at(words, w, t), which serves every candidate list, and canonical_step
+gives the row-by-row lex-leader test.  The test's state is one int: the
+low L - 1 bits mark the adjacent columns still tied, and above them one
+field of L bits per digit 0..r-2 marks the columns that have not used
+that digit yet.  A row is then two mask tests, and its two masks depend
+only on the word, so canonical_step is memoised per shape and keeps a
+table from word to masks.  Verification uses none of this: it
 compares an addressing's partition coverage with the distance matrix (the
 partition view below), so no witness is checked by the kernel that found
 it.  The search relies on two facts of the layout: the care bits are the
@@ -23,6 +28,7 @@ words with disjoint positions add up to the word that carries both (it
 builds its half-words and root words as such sums).
 """
 
+import functools
 import json
 
 import numpy as np
@@ -31,6 +37,7 @@ from .errors import SelfCheckError
 
 STAR = "*"
 MAX_ALPHABET = 10
+STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
 
 
 def _check_word(word, r):
@@ -89,46 +96,68 @@ def distance_filter(length, r):
     return at
 
 
+@functools.lru_cache(maxsize=64)
 def canonical_step(length, r):
     """The lex-leader test (start, step) on rows of packed words of one shape.
 
     Rows are canonical under the address-space group (coordinate x
     per-coordinate symbol permutations) when each column's digits first
     appear top-down as 0, 1, 2, .. and the columns, read top-down with *
-    above every digit, are nondecreasing.  A state is (tied, top): bit j of
-    tied is set while columns j and j+1 are equal, and top holds each
-    column's count of digits used, one bitplane per entry.  step(state, w)
+    above every digit, are nondecreasing.  A state is one int.  Its low
+    length - 1 bits are the ties: bit j is set while columns j and j + 1
+    are equal.  Above them sit r - 1 fields of length bits: field d holds
+    the columns in which digit d has not appeared yet.  A row w breaks the
+    order exactly where state & bad(w) is nonzero, and otherwise gives
+    state & keep(w):
+
+      * bad(w) marks the tied columns j whose symbols descend from j to
+        j + 1, and, in field d, each column where w has digit d + 1;
+      * keep(w) marks the tied columns whose symbols are equal, and every
+        field bit but column j of field d where w has digit d.
+
+    Both masks depend on w alone.  The search steps through the same words
+    many times, so each shape keeps one table from word to (bad, keep),
+    filled on a word's first step; past STEP_TABLE_WORDS words, new words
+    get their masks afresh on every step.  canonical_step is memoised per
+    shape, so all searches at one shape share its table.  step(state, w)
     is the state after row w, or None if w breaks the order; start is the
     state of no rows.  Every prefix of canonical rows is canonical.
     """
     care = (1 << length) - 1
-    # Counts reach r, a plane above the top digit's when r is a power of 2;
-    # a shift past the top digit plane gives 0.
-    shifts = [p * length for p in range(1, r.bit_length() + 1)]
-    start = (care >> 1, (0,) * len(shifts))
+    shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
+    ties = max(length - 1, 0)
+    fields = ((1 << (r - 1) * length) - 1) << ties
+    table = {}
+
+    def masks(w):
+        digit = [w >> s & care for s in shifts]            # bit 0 plane first
+        # Compare each column with the next, the * plane then the digit
+        # planes from high to low; bit j of x >> 1 is column j + 1's.
+        down, eq = 0, (1 << ties) - 1
+        for x in [care & ~w] + digit[::-1]:
+            down |= eq & x & ~(x >> 1)
+            eq &= ~(x ^ x >> 1)
+        bad, keep = down, eq | fields
+        for d in range(r):
+            cols = w & care                                # the columns holding d
+            for b, x in enumerate(digit):
+                cols &= x if d >> b & 1 else ~x
+            if d:
+                bad |= cols << ties + (d - 1) * length
+            if d < r - 1:
+                keep &= ~(cols << ties + d * length)
+        return bad, keep
 
     def step(state, w):
-        tied, top = state
-        digit = [w >> s & care for s in shifts]            # bit 0 plane first
-        # A digit in a column may be at most that column's count of digits
-        # used; compare high plane to low, keeping the columns still equal.
-        eq = w & care
-        for d, t in zip(digit[::-1], top[::-1]):
-            if eq & d & ~t:
-                return None
-            eq &= ~(d ^ t)
-        new, carry = [], eq                                # top += 1 where d == top
-        for t in top:
-            new.append(t ^ carry)
-            carry &= t
-        # Tied columns must stay in order; bit j of x >> 1 is column j+1's.
-        for x in [care & ~w] + digit[::-1]:                # the * plane, then high to low
-            if tied & x & ~(x >> 1):
-                return None
-            tied &= ~(x ^ x >> 1)
-        return tied, tuple(new)
+        try:
+            bad, keep = table[w]
+        except KeyError:
+            bad, keep = masks(w)
+            if len(table) < STEP_TABLE_WORDS:
+                table[w] = bad, keep
+        return None if state & bad else state & keep
 
-    return start, step
+    return (1 << ties) - 1 | fields, step
 
 
 def unpack_word(packed, length, r):

@@ -164,13 +164,20 @@ def petersen_graph():
 
 
 def random_graph(n, seed):
-    """G(n, 1/2): every pair an edge independently with probability 1/2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    coins = np.random.default_rng(seed).random(n * (n - 1) // 2) < 0.5   # combinations order
-    rows = np.split(coins, np.cumsum(np.arange(n - 1, 1, -1)))   # row u: the pairs (u, v > u)
-    return Graph(n, ((u, u + 1 + v) for u, row in enumerate(rows)
-                     for v in np.flatnonzero(row).tolist()))
+    """G(n, 1/2): every pair an edge independently with probability 1/2.
+
+    One coin per pair, in combinations order, fills the upper triangle of
+    a boolean matrix; that matrix ORed with its transpose gives each row's
+    neighbour mask as its little-endian packed bits.
+    """
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 1 <= n <= {MAX_VERTICES}, got {n}")
+    coins = np.random.default_rng(seed).random(n * (n - 1) // 2) < 0.5
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.triu(np.ones((n, n), dtype=bool), 1)] = coins    # row-major: combinations order
+    adj |= adj.T
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return Graph._from_adj(tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
 
 # ---------------------------------------------------------------------------

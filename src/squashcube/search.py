@@ -8,9 +8,11 @@ Three prunings keep the tree small, all sound and none affecting the verdict:
     under the address-space group (coordinate permutations x per-coordinate
     symbol permutations): every column's digits appear top-down as
     0,1,2,.. and the columns are in nondecreasing order.  The test is the
-    packed lex-leader step `addressing.canonical_step`: every assigned word
-    advances a state of still-tied adjacent columns and per-column digit
-    counts, and a word that breaks the order is skipped;
+    packed lex-leader step `addressing.canonical_step`: the state is one
+    int of still-tied adjacent columns and, per digit, the columns that
+    have not used it yet; every assigned word is two mask tests against
+    it, the masks read from a per-shape word table, and a word that breaks
+    the order is skipped;
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the

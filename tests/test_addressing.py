@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from squashcube import addressing
 from squashcube.addressing import (
     Addressing,
     addressing_from_json,
@@ -120,6 +121,77 @@ def test_canonical_step_agrees_with_string_oracle(r):
                     if len(rows) == 16:
                         break
     assert min(depths[1:]) >= 20, depths
+
+
+def _walk_random_prefixes(r, step_of):
+    """The oracle test's random row walks: for each length, the words tried
+    and the state (or None) that step_of(length) gave after each."""
+    rng = random.Random(200 + r)
+    walks = []
+    for length in range(1, 12):
+        start, step = step_of(length)
+        for _ in range(25):
+            rows, state, trail = [], start, []
+            for _ in range(40):
+                alphabet = "*" + "0123456789"[: min(r, len(rows) + 1)]
+                word = [rng.choice(alphabet) for _ in range(length)]
+                if rng.random() < 0.5:
+                    word.sort(key="0123456789*".index)
+                word = "".join(word)
+                new = step(state, pack_word(word, r))
+                trail.append((word, new))
+                if new is not None:
+                    rows.append(word)
+                    state = new
+                    if len(rows) == 16:
+                        break
+            walks.append(trail)
+    return walks
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 10])
+def test_canonical_step_table_hits_and_misses_give_the_same_states(r, monkeypatch):
+    # The first walk fills each shape's word table, the second reads every
+    # word from it, and a third, from a test whose table keeps two words,
+    # gets almost every word's masks afresh.  All three must agree.
+    canonical_step.cache_clear()
+    cold = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
+    warm = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
+    monkeypatch.setattr(addressing, "STEP_TABLE_WORDS", 2)
+    capped = _walk_random_prefixes(r, lambda length: canonical_step.__wrapped__(length, r))
+    assert cold == warm == capped
+    assert sum(new is not None for trail in cold for _, new in trail) > 1000
+
+
+def test_canonical_step_keeps_one_table_per_shape():
+    # An int that is a word of both shapes (length 4, r 2) and (length 2,
+    # r 4) must be stepped by each shape's own masks.  Both tables start
+    # empty and fill in turn, so a shared table would hand one shape the
+    # other's masks.
+    shapes = [(4, 2), (2, 4)]
+    both = [x for x in range(1 << 8)
+            if all(pack_word(unpack_word(x, *shape), shape[1]) == x for shape in shapes)]
+    assert len(both) >= 10
+    canonical_step.cache_clear()
+    steps = {shape: canonical_step(*shape) for shape in shapes}
+    rng = random.Random(5)
+    differ = 0
+    for _ in range(300):
+        rows = {shape: [] for shape in shapes}
+        states = {shape: start for shape, (start, _) in steps.items()}
+        for _ in range(6):
+            x = rng.choice(both)
+            verdicts = []
+            for shape in shapes:
+                word = unpack_word(x, *shape)
+                new = steps[shape][1](states[shape], x)
+                verdicts.append(new is not None)
+                assert verdicts[-1] == is_canonical_prefix(rows[shape] + [word]), (shape, word)
+                if new is not None:
+                    rows[shape].append(word)
+                    states[shape] = new
+            differ += verdicts[0] != verdicts[1]
+    assert differ >= 50, differ
 
 
 def test_addressing_validation():

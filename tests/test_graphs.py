@@ -7,6 +7,7 @@ import pytest
 
 from squashcube.errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
 from squashcube.graphs import (
+    MAX_VERTICES,
     Graph,
     all_graphs,
     automorphisms,
@@ -157,11 +158,17 @@ def test_multipartite_distances():
 
 
 def test_random_graph_draws_one_coin_per_pair_in_combinations_order():
-    for n in (1, 2, 3, 17, 64):
+    # The packed matrix rows must give the masks that Graph builds edge by
+    # edge from the same coins, across byte and word boundaries of a row.
+    for n in (1, 2, 3, 8, 9, 17, 64, 65, 128, 256):
         for seed in (5, [5, n]):
             pairs = list(itertools.combinations(range(n), 2))
             coins = np.random.default_rng(seed).random(len(pairs)) < 0.5
-            assert random_graph(n, seed) == Graph(n, [p for p, c in zip(pairs, coins) if c])
+            g = random_graph(n, seed)
+            assert g == Graph(n, [p for p, c in zip(pairs, coins) if c])
+            assert all(type(a) is int for a in g.adj)
+    with pytest.raises(ValueError):
+        random_graph(MAX_VERTICES + 1, 0)
 
 
 def test_random_graph_determinism_and_statistics():
