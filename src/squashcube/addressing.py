@@ -5,30 +5,11 @@ two words is the number of positions where both symbols are digits and they
 differ; an addressing of a graph is valid when this matches the graph
 distance for every vertex pair.
 
-For the search, a word of length L is packed into one integer so a pairwise
-distance costs a handful of bitwise ops and a popcount.  Bits 0..L-1 are the
-care bits (set where the symbol is a digit); then come (r-1).bit_length()
-bitplanes of L bits each, plane b holding bit b of every digit in binary.
-One format serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8
-three and r <= 10 four.
-
-Two helpers are built per word shape (length, r): distance_filter gives
-at(words, w, t), which serves every candidate list, and canonical_step
-gives the row-by-row lex-leader test.  The test's state is one int: the
-low L - 1 bits mark the adjacent columns still tied, and above them one
-field of L bits per digit 0..r-2 marks the columns that have not used
-that digit yet.  A row is then two mask tests, and its two masks depend
-only on the word, so canonical_step is memoised per shape and keeps a
-table from word to masks.  Verification uses none of this: it
-compares an addressing's partition coverage with the distance matrix (the
-partition view below), so no witness is checked by the kernel that found
-it.  The search relies on two facts of the layout: the care bits are the
-low L bits, so a word's weight is the popcount of w & ((1 << L) - 1), and
-words with disjoint positions add up to the word that carries both (it
-builds its half-words and root words as such sums).
+Verification compares an addressing's partition coverage with the distance
+matrix (the partition view below).  It shares no code with the search's
+packed-word filter, so no witness is checked by the kernel that found it.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -37,7 +18,6 @@ from .errors import SelfCheckError
 
 STAR = "*"
 MAX_ALPHABET = 10
-STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
 
 
 def _check_word(word, r):
@@ -46,131 +26,6 @@ def _check_word(word, r):
             continue
         if not ch.isdigit() or int(ch) >= r:
             raise ValueError(f"symbol {ch!r} invalid for alphabet size {r}")
-
-
-def pack_word(word, r):
-    """Pack a word into one int: the care bits, then the digits' bitplanes."""
-    length = len(word)
-    packed = 0
-    for i, ch in enumerate(word):
-        if ch != STAR:
-            code = (ord(ch) - 48) << 1 | 1      # care bit, then the digit's bits
-            for p in range(code.bit_length()):
-                if code >> p & 1:
-                    packed |= 1 << (p * length + i)
-    return packed
-
-
-def distance_filter(length, r):
-    """The filter at(words, w, t): the words of `words` at distance t from w.
-
-    A digit differs where some bitplane of c ^ w is set; the distance counts
-    such positions where both care bits are set.  The test is written inline
-    in one list comprehension so that no call is made per word; the words
-    keep their order.  All words must be packed with this length and
-    alphabet size.  One expression per bitplane count: the four-shift one
-    also serves three planes, since a shift past the top plane gives 0.
-    """
-    care = (1 << length) - 1
-    s1, s2, s3, s4 = (p * length for p in range(1, 5))
-    planes = (r - 1).bit_length()
-    if planes == 1:
-        def at(words, w, t):
-            cw = w & care
-            return [c for c in words if (c & cw & ((c ^ w) >> s1)).bit_count() == t]
-    elif planes == 2:
-        def at(words, w, t):
-            cw = w & care
-            return [
-                c for c in words
-                if (c & cw & ((x := c ^ w) >> s1 | x >> s2)).bit_count() == t
-            ]
-    else:
-        def at(words, w, t):
-            cw = w & care
-            return [
-                c for c in words
-                if (c & cw & ((x := c ^ w) >> s1 | x >> s2 | x >> s3 | x >> s4)
-                    ).bit_count() == t
-            ]
-    return at
-
-
-@functools.lru_cache(maxsize=64)
-def canonical_step(length, r):
-    """The lex-leader test (start, step) on rows of packed words of one shape.
-
-    Rows are canonical under the address-space group (coordinate x
-    per-coordinate symbol permutations) when each column's digits first
-    appear top-down as 0, 1, 2, .. and the columns, read top-down with *
-    above every digit, are nondecreasing.  A state is one int.  Its low
-    length - 1 bits are the ties: bit j is set while columns j and j + 1
-    are equal.  Above them sit r - 1 fields of length bits: field d holds
-    the columns in which digit d has not appeared yet.  A row w breaks the
-    order exactly where state & bad(w) is nonzero, and otherwise gives
-    state & keep(w):
-
-      * bad(w) marks the tied columns j whose symbols descend from j to
-        j + 1, and, in field d, each column where w has digit d + 1;
-      * keep(w) marks the tied columns whose symbols are equal, and every
-        field bit but column j of field d where w has digit d.
-
-    Both masks depend on w alone.  The search steps through the same words
-    many times, so each shape keeps one table from word to (bad, keep),
-    filled on a word's first step; past STEP_TABLE_WORDS words, new words
-    get their masks afresh on every step.  canonical_step is memoised per
-    shape, so all searches at one shape share its table.  step(state, w)
-    is the state after row w, or None if w breaks the order; start is the
-    state of no rows.  Every prefix of canonical rows is canonical.
-    """
-    care = (1 << length) - 1
-    shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
-    ties = max(length - 1, 0)
-    fields = ((1 << (r - 1) * length) - 1) << ties
-    table = {}
-
-    def masks(w):
-        digit = [w >> s & care for s in shifts]            # bit 0 plane first
-        # Compare each column with the next, the * plane then the digit
-        # planes from high to low; bit j of x >> 1 is column j + 1's.
-        down, eq = 0, (1 << ties) - 1
-        for x in [care & ~w] + digit[::-1]:
-            down |= eq & x & ~(x >> 1)
-            eq &= ~(x ^ x >> 1)
-        bad, keep = down, eq | fields
-        for d in range(r):
-            cols = w & care                                # the columns holding d
-            for b, x in enumerate(digit):
-                cols &= x if d >> b & 1 else ~x
-            if d:
-                bad |= cols << ties + (d - 1) * length
-            if d < r - 1:
-                keep &= ~(cols << ties + d * length)
-        return bad, keep
-
-    def step(state, w):
-        try:
-            bad, keep = table[w]
-        except KeyError:
-            bad, keep = masks(w)
-            if len(table) < STEP_TABLE_WORDS:
-                table[w] = bad, keep
-        return None if state & bad else state & keep
-
-    return (1 << ties) - 1 | fields, step
-
-
-def unpack_word(packed, length, r):
-    """Inverse of pack_word."""
-    planes = range((r - 1).bit_length())
-    chars = []
-    for i in range(length):
-        if packed >> i & 1:
-            d = sum((packed >> ((b + 1) * length + i) & 1) << b for b in planes)
-            chars.append(chr(48 + d))
-        else:
-            chars.append(STAR)
-    return "".join(chars)
 
 
 def word_distance(a, b):

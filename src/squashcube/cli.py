@@ -149,13 +149,7 @@ def cmd_bound(args):
 
 def cmd_solve(args):
     graph = parse_graph_spec(args.graph)
-    cfg = SearchConfig(
-        graph=graph,
-        r=args.r,
-        node_limit=args.node_limit,
-        use_aut_pruning=not args.no_aut_pruning,
-    )
-    res = solve_N(cfg)
+    res = solve_N(SearchConfig(graph=graph, r=args.r, node_limit=args.node_limit))
     if res.value is None:
         print(f"unknown: N_{args.r} in [{res.lower}, {res.upper}] "
               f"(node limit hit after {res.nodes_explored} nodes)")
@@ -237,7 +231,6 @@ def build_parser():
     ps.add_argument("graph", nargs="+")
     ps.add_argument("--r", type=int, default=2)
     ps.add_argument("--node-limit", type=int)
-    ps.add_argument("--no-aut-pruning", action="store_true")
     ps.add_argument("--certificate", action="store_true",
                     help="print the witness addressing")
     ps.add_argument("-o", "--output", help="write the witness addressing here")

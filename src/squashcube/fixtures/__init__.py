@@ -9,7 +9,7 @@ one row; the shipped file carries the unique repaired word for vertex 9
 
 from importlib import resources
 
-from ..addressing import load_addressing, parse_addressing
+from ..addressing import parse_addressing
 from ..graphs import complete_multipartite, cycle_graph, johnson_graph, kam_graph
 
 REGISTRY = {
@@ -70,5 +70,4 @@ __all__ = [
     "fixture_names",
     "load_fixture",
     "iter_fixtures",
-    "load_addressing",
 ]

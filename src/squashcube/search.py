@@ -1,18 +1,31 @@
 """Exhaustive minimum-length addressing search with symmetry pruning.
 
 Feasibility at a fixed length is decided by backtracking over packed words.
-Three prunings keep the tree small, all sound and none affecting the verdict:
+A word of length L is packed into one int so that a pairwise distance costs
+a handful of bitwise ops and a popcount.  Bits 0..L-1 are the care bits (set
+where the symbol is a digit); then come (r-1).bit_length() bitplanes of L
+bits each, plane b holding bit b of every digit in binary.  One format
+serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8 three and
+r <= 10 four.  The search relies on two facts of the layout: a word's
+weight is the popcount of its low L bits, and words with disjoint positions
+add up to the word that carries both (the half-words and the root words are
+built as such sums).  Two helpers are built per word shape (L, r):
+`distance_filter` gives the filter behind every candidate list, and
+`canonical_step` gives the row-by-row lex-leader test.
 
-  * the first vertex's word is a block of 0s then a block of *s;
+Two prunings keep the tree small, both sound and neither affecting the
+verdict:
+
   * the words on the path, in the order they were assigned, are canonical
     under the address-space group (coordinate permutations x per-coordinate
     symbol permutations): every column's digits appear top-down as
-    0,1,2,.. and the columns are in nondecreasing order.  The test is the
-    packed lex-leader step `addressing.canonical_step`: the state is one
-    int of still-tied adjacent columns and, per digit, the columns that
-    have not used it yet; every assigned word is two mask tests against
-    it, the masks read from a per-shape word table, and a word that breaks
-    the order is skipped;
+    0,1,2,.. and the columns, read top-down with * above every digit, are
+    nondecreasing.  `canonical_step` tests this one row at a time, with two
+    mask tests against a one-int state, and a word that breaks the order is
+    skipped.  A first row is canonical exactly when it is a block of 0s
+    then a block of *s, so the root list is the lex-leader's first rows of
+    weight at least the first anchor's eccentricity: 0^wt *^(L-wt) for wt
+    from that eccentricity to L;
   * optionally, weight-vector minimality over graph automorphism orbits:
     vertices in the orbit of the first anchor never get a lighter word than
     the anchor did, and likewise for the second and third anchors under the
@@ -31,11 +44,9 @@ so g(S)(v) is in v's list, and g keeps every word's weight, so the weight
 floors hold for g(S) exactly when they hold for S.  By induction some
 solution survives down to a leaf.
 
-One recursion does all the work, from the root down.  The root's
-candidates are the words 0^wt *^(L-wt) for wt from the first anchor's
-eccentricity to L.  Every list goes through one per-shape filter,
-`addressing.distance_filter`, built once per length (one list comprehension
-per list, with no call per word).  While the (up to three) anchors get
+One recursion does all the work, from the root down.  Every list goes
+through the one filter, built once per length (one list comprehension per
+list, with no call per word).  While the (up to three) anchors get
 their words, a list is the set of all words at given distances from the
 anchor words placed so far, so it can be built without the full symbol
 space: the low and the high half-words sit in buckets keyed by their
@@ -57,25 +68,142 @@ through the coverage matrix of its partition, which shares no code with
 the filter.
 """
 
+import functools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
-from .addressing import (
-    MAX_ALPHABET,
-    STAR,
-    Addressing,
-    canonical_step,
-    check_addressing,
-    distance_filter,
-    pack_word,
-    unpack_word,
-)
+from .addressing import MAX_ALPHABET, STAR, Addressing, check_addressing
 from .errors import CapabilityError, SelfCheckError
 from .graphs import Graph, bfs_distances, parse_graph6, stabilizer_orbits
 from .spectral import lower_bound
+
+STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
+
+
+def pack_word(word, r):
+    """Pack a word into one int: the care bits, then the digits' bitplanes."""
+    length = len(word)
+    packed = 0
+    for i, ch in enumerate(word):
+        if ch != STAR:
+            code = (ord(ch) - 48) << 1 | 1      # care bit, then the digit's bits
+            for p in range(code.bit_length()):
+                if code >> p & 1:
+                    packed |= 1 << (p * length + i)
+    return packed
+
+
+def unpack_word(packed, length, r):
+    """Inverse of pack_word."""
+    planes = range((r - 1).bit_length())
+    chars = []
+    for i in range(length):
+        if packed >> i & 1:
+            d = sum((packed >> ((b + 1) * length + i) & 1) << b for b in planes)
+            chars.append(chr(48 + d))
+        else:
+            chars.append(STAR)
+    return "".join(chars)
+
+
+def distance_filter(length, r):
+    """The filter at(words, w, t): the words of `words` at distance t from w.
+
+    A digit differs where some bitplane of c ^ w is set; the distance counts
+    such positions where both care bits are set.  The test is written inline
+    in one list comprehension so that no call is made per word; the words
+    keep their order.  All words must be packed with this length and
+    alphabet size.  One expression per bitplane count: the four-shift one
+    also serves three planes, since a shift past the top plane gives 0.
+    """
+    care = (1 << length) - 1
+    s1, s2, s3, s4 = (p * length for p in range(1, 5))
+    planes = (r - 1).bit_length()
+    if planes == 1:
+        def at(words, w, t):
+            cw = w & care
+            return [c for c in words if (c & cw & ((c ^ w) >> s1)).bit_count() == t]
+    elif planes == 2:
+        def at(words, w, t):
+            cw = w & care
+            return [
+                c for c in words
+                if (c & cw & ((x := c ^ w) >> s1 | x >> s2)).bit_count() == t
+            ]
+    else:
+        def at(words, w, t):
+            cw = w & care
+            return [
+                c for c in words
+                if (c & cw & ((x := c ^ w) >> s1 | x >> s2 | x >> s3 | x >> s4)
+                    ).bit_count() == t
+            ]
+    return at
+
+
+@functools.lru_cache(maxsize=64)
+def canonical_step(length, r):
+    """The lex-leader test (start, step) on rows of packed words of one
+    shape, for the canonical order that the module docstring defines.
+
+    A state is one int.  Its low length - 1 bits are the ties: bit j is set
+    while columns j and j + 1 are equal.  Above them sit r - 1 fields of
+    length bits: field d holds the columns in which digit d has not
+    appeared yet.  A row w breaks the order exactly where state & bad(w) is
+    nonzero, and otherwise gives state & keep(w):
+
+      * bad(w) marks the tied columns j whose symbols descend from j to
+        j + 1, and, in field d, each column where w has digit d + 1;
+      * keep(w) marks the tied columns whose symbols are equal, and every
+        field bit but column j of field d where w has digit d.
+
+    Both masks depend on w alone.  The search steps through the same words
+    many times, so each shape keeps one table from word to (bad, keep),
+    filled on a word's first step; past STEP_TABLE_WORDS words, new words
+    get their masks afresh on every step.  canonical_step is memoised per
+    shape, so all searches at one shape share its table.  step(state, w)
+    is the state after row w, or None if w breaks the order; start is the
+    state of no rows.  Every prefix of canonical rows is canonical.
+    """
+    care = (1 << length) - 1
+    shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
+    ties = max(length - 1, 0)
+    fields = ((1 << (r - 1) * length) - 1) << ties
+    table = {}
+
+    def masks(w):
+        digit = [w >> s & care for s in shifts]            # bit 0 plane first
+        # Compare each column with the next, the * plane then the digit
+        # planes from high to low; bit j of x >> 1 is column j + 1's.
+        down, eq = 0, (1 << ties) - 1
+        for x in [care & ~w] + digit[::-1]:
+            down |= eq & x & ~(x >> 1)
+            eq &= ~(x ^ x >> 1)
+        bad, keep = down, eq | fields
+        for d in range(r):
+            cols = w & care                                # the columns holding d
+            for b, x in enumerate(digit):
+                cols &= x if d >> b & 1 else ~x
+            if d:
+                bad |= cols << ties + (d - 1) * length
+            if d < r - 1:
+                keep &= ~(cols << ties + d * length)
+        return bad, keep
+
+    def step(state, w):
+        try:
+            bad, keep = table[w]
+        except KeyError:
+            bad, keep = masks(w)
+            if len(table) < STEP_TABLE_WORDS:
+                table[w] = bad, keep
+        return None if state & bad else state & keep
+
+    return (1 << ties) - 1 | fields, step
+
 
 
 def _check_limits(r, node_limit):

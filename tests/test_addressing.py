@@ -4,20 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from squashcube import addressing
+from squashcube import search
 from squashcube.addressing import (
     Addressing,
     addressing_from_json,
-    canonical_step,
     addressing_to_json,
     format_addressing,
-    distance_filter,
-    pack_word,
     parse_addressing,
     partition_coverage,
     partition_to_addressing,
     to_partition,
-    unpack_word,
     verify_addressing,
     weight,
     word_distance,
@@ -25,6 +21,7 @@ from squashcube.addressing import (
 from squashcube.fixtures import iter_fixtures
 from squashcube.graphs import Graph, bfs_distances, complete_graph, johnson_graph
 from squashcube.johnson import johnson_addressing
+from squashcube.search import canonical_step, distance_filter, pack_word, unpack_word
 
 from oracles import is_canonical_prefix, reference_violations
 
@@ -68,6 +65,34 @@ def test_packed_distance_agrees_with_symbol_count(r):
         for t in range(n + 1):
             assert bool(at([pb], pa, t)) == (t == word_distance(a, b))
         assert unpack_word(pa, n, r) == a
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_packed_weight_is_the_popcount_of_the_care_bits(r):
+    # The search reads a word's weight as the popcount of its low L bits.
+    rng = random.Random(300 + r)
+    alphabet = "*" + "0123456789"[:r]
+    for _ in range(200):
+        length = rng.randint(0, 15)
+        w = "".join(rng.choice(alphabet) for _ in range(length))
+        assert (pack_word(w, r) & ((1 << length) - 1)).bit_count() == weight(w)
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_packed_words_with_disjoint_positions_add_up(r):
+    # The search builds its half-words and root words as sums (and its
+    # joined words as ORs) of words whose digits sit at disjoint positions;
+    # both must give the packed word that carries the digits of each.
+    rng = random.Random(400 + r)
+    digits = "0123456789"[:r]
+    for _ in range(200):
+        length = rng.randint(0, 15)
+        side = [rng.randrange(3) for _ in range(length)]   # 0: in a, 1: in b, 2: in neither
+        merged = "".join("*" if s == 2 else rng.choice(digits) for s in side)
+        a = "".join(ch if s == 0 else "*" for ch, s in zip(merged, side))
+        b = "".join(ch if s == 1 else "*" for ch, s in zip(merged, side))
+        pa, pb = pack_word(a, r), pack_word(b, r)
+        assert pa + pb == pa | pb == pack_word(merged, r), (a, b)
 
 
 @pytest.mark.parametrize("r", range(2, 11))
@@ -157,7 +182,7 @@ def test_canonical_step_table_hits_and_misses_give_the_same_states(r, monkeypatc
     canonical_step.cache_clear()
     cold = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
     warm = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
-    monkeypatch.setattr(addressing, "STEP_TABLE_WORDS", 2)
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", 2)
     capped = _walk_random_prefixes(r, lambda length: canonical_step.__wrapped__(length, r))
     assert cold == warm == capped
     assert sum(new is not None for trail in cold for _, new in trail) > 1000

@@ -335,7 +335,6 @@ def test_the_self_check_does_not_trust_the_filter_it_checks(monkeypatch):
     # A filter that keeps every word lets the search assign garbage; the
     # witness check must catch it, since it shares no code with the filter.
     keep_all = lambda length, r: lambda words, w, t: list(words)
-    monkeypatch.setattr(squashcube.addressing, "distance_filter", keep_all)
     monkeypatch.setattr(squashcube.search, "distance_filter", keep_all)
     with pytest.raises(SelfCheckError, match="search witness fails verification"):
         solve_N(SearchConfig(graph=petersen_graph(), r=2))

@@ -5,7 +5,9 @@ silently disappears.  No `AssertionError`: every library self-check raises
 the one `SelfCheckError`, which the CLI maps to exit code 3.  No true
 division and no float logarithm, square root, ceiling or floor from `math`:
 no floating point may decide a bound or a verdict, so integer arithmetic
-(`//`, `int.bit_length`, `math.isqrt`) does those jobs.
+(`//`, `int.bit_length`, `math.isqrt`) does those jobs.  The packed word
+format belongs to the search: no module but `search.py` defines, imports or
+reads the names of its layout, filter and lex-leader step.
 """
 
 import ast
@@ -60,4 +62,31 @@ def test_no_true_division_and_no_float_math(path):
                 for a in node.names
                 if _float_math(a.name)
             )
+    assert not problems, problems
+
+
+PACKED_NAMES = {"pack_word", "unpack_word", "distance_filter", "canonical_step",
+                "STEP_TABLE_WORDS"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p != PACKAGE / "search.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_only_the_search_knows_the_packed_word_format(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rpartition(".")[2] for a in node.names]
+        else:
+            continue
+        problems.extend(f"line {node.lineno}: {name}" for name in names
+                        if name in PACKED_NAMES)
     assert not problems, problems
