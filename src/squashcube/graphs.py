@@ -495,18 +495,21 @@ def automorphisms(g):
     return perms
 
 
-def stabilizer_orbits(g, points):
-    """The orbit of each points[i] under the automorphisms that fix
-    points[:i], as sets, from generators and without listing the group.
-    Raises CapabilityError above SYMMETRY_CAP vertices."""
-    _, _, gens = _least_orderings(g)
-    orbits = []
-    for i, v in enumerate(points):
-        trans = _transversal(v, gens, g.n)
-        orbits.append(set(trans))
-        if len(trans) > 1 and i + 1 < len(points):
-            gens = _schreier(trans, gens)
-    return orbits
+def automorphism_generators(g):
+    """Permutations (tuples) that generate the automorphism group, from
+    `_least_orderings`, without listing the group.  Raises CapabilityError
+    above SYMMETRY_CAP vertices."""
+    return _least_orderings(g)[2]
+
+
+def orbit_and_stabilizer(v, gens, n):
+    """v's orbit under the group the permutations generate, as a set, and
+    generators of v's stabilizer in that group (by Schreier's lemma, so
+    without listing either group).  No generators means the trivial group."""
+    if not gens:
+        return {v}, []
+    trans = _transversal(v, gens, n)
+    return set(trans), _schreier(trans, gens) if len(trans) > 1 else gens
 
 
 def canonical_form(g):

@@ -26,13 +26,18 @@ verdict:
     then a block of *s, so the root list is the lex-leader's first rows of
     weight at least the first anchor's eccentricity: 0^wt *^(L-wt) for wt
     from that eccentricity to L;
-  * optionally, weight-vector minimality over graph automorphism orbits:
-    vertices in the orbit of the first anchor never get a lighter word than
-    the anchor did, and likewise for the second and third anchors under the
-    one- and two-point stabilizers.  The orbits come from generators of the
-    group (`graphs.stabilizer_orbits`), which is never listed.  The floors
-    ride the path: an anchor passes its raised floors down the recursion in
-    a new dict, so nothing is saved or restored on the way back.
+  * optionally, weight-vector minimality over graph automorphism orbits,
+    at every depth: when v gets its word below the placed vertices, the
+    other vertices of v's orbit under the automorphisms that fix each
+    placed vertex never get a lighter word.  The orbits come from
+    generators (`graphs.orbit_and_stabilizer`), and the group is never
+    listed: the stabilizer of the placed set plus v comes from that of the
+    placed set by Schreier's lemma.  It is memoised per placed set and
+    shared across lengths, since the group depends on the set alone, not
+    on the order the path placed it in; once a stabilizer is trivial, every
+    larger set's is too.  The floors ride the path: each assignment passes
+    its raised floors down the recursion in a new dict, so nothing is saved
+    or restored on the way back.
 
 The lex-leader pruning is sound at every depth, under the dynamic vertex
 order too.  Take the partial assignment P on the path and a solution S that
@@ -43,6 +48,17 @@ P-prefixes are identical.  g(S) is still a valid addressing that extends P,
 so g(S)(v) is in v's list, and g keeps every word's weight, so the weight
 floors hold for g(S) exactly when they hold for S.  By induction some
 solution survives down to a leaf.
+
+The floors are sound by the same induction, on the graph's side (McKay and
+Piperno, "Practical graph isomorphism, II", JSC 2014).  Let h fix every
+placed vertex and take v to the vertex of its orbit whose word in S is
+lightest.  S after h is a valid addressing that extends P, and it gives v
+the lightest word of the orbit, so it meets v's new floors.  It meets every
+earlier floor too: such a floor is uniform over an orbit of the stabilizer
+of fewer placed vertices, and h lies in that stabilizer, so it maps the
+orbit onto itself.  The vertex chosen next depends only on the node, so the
+tree below is the same for S and S after h, and the two symmetry groups act
+on different sides of the addressing, so they combine.
 
 One recursion does all the work, from the root down.  Every list goes
 through the one filter, built once per length (one list comprehension per
@@ -77,7 +93,8 @@ from typing import Optional
 
 from .addressing import MAX_ALPHABET, STAR, Addressing, check_addressing
 from .errors import CapabilityError, SelfCheckError
-from .graphs import Graph, bfs_distances, parse_graph6, stabilizer_orbits
+from .graphs import (Graph, automorphism_generators, bfs_distances, orbit_and_stabilizer,
+                     parse_graph6)
 from .spectral import lower_bound
 
 STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
@@ -266,7 +283,18 @@ class _Searcher:
         self.dist = [[int(x) for x in row] for row in dist]
         self.diameter = max(max(row) for row in self.dist) if g.n > 1 else 0
         self.anchors = self._pick_anchors()
-        self.orbit_floors = self._orbit_constraints() if cfg.use_aut_pruning else {}
+        # placed set (bitmask) -> generators of the automorphisms that fix
+        # each placed vertex; None when there are no floors: pruning off,
+        # a trivial group, or a graph above graphs.SYMMETRY_CAP
+        self.stabilizers = None
+        self.orbits = {}         # (placed, v) -> the rest of v's orbit
+        if cfg.use_aut_pruning:
+            try:
+                gens = automorphism_generators(g)
+            except CapabilityError:
+                gens = []
+            if gens:
+                self.stabilizers = {0: gens}
 
     def _pick_anchors(self):
         n, dist = self.n, self.dist
@@ -292,14 +320,16 @@ class _Searcher:
             anchors.append(third)
         return anchors
 
-    def _orbit_constraints(self):
-        """{anchor index: the rest of its orbit} for the weight-floor pruning."""
-        try:
-            orbits = stabilizer_orbits(self.cfg.graph, self.anchors)
-        except CapabilityError:
-            return {}
-        return {i: orbit - {v} for i, (v, orbit) in enumerate(zip(self.anchors, orbits))
-                if len(orbit) > 1}
+    def rest_of_orbit(self, placed, v):
+        """The other vertices of v's orbit under the automorphisms that fix
+        every placed vertex (a bitmask), memoised; the stabilizer of placed
+        plus v is memoised on the way, for the first path that reaches it."""
+        members = self.orbits.get((placed, v))
+        if members is None:
+            orbit, below = orbit_and_stabilizer(v, self.stabilizers[placed], self.n)
+            self.stabilizers.setdefault(placed | 1 << v, below)
+            members = self.orbits[placed, v] = tuple(orbit - {v})
+        return members
 
     def run(self, length):
         n = self.n
@@ -456,10 +486,11 @@ class _Searcher:
             return out
 
         witness = {}
+        orbit = self.rest_of_orbit if self.stabilizers is not None else None
 
-        def dfs(lists, halves, state, floors, depth):
-            """floors: the weight floors from automorphism orbits, raised as
-            the anchors get words."""
+        def dfs(lists, halves, state, floors, placed, depth):
+            """floors: the weight floors from automorphism orbits, raised at
+            every depth; placed: the bitmask of the vertices with a word."""
             nonlocal nodes
             if not lists:
                 return True
@@ -471,7 +502,8 @@ class _Searcher:
             else:
                 v = min(lists, key=lambda u: (len(lists[u]), u))
             floor = floors.get(v, 0)
-            members = self.orbit_floors.get(depth, ())
+            members = orbit(placed, v) if orbit else ()
+            placed |= 1 << v
             for cand in lists[v]:
                 nodes += 1
                 if limit is not None and nodes > limit:
@@ -493,7 +525,7 @@ class _Searcher:
                 below = floors
                 if members:
                     below = {**floors, **{u: max(floors.get(u, 0), wt) for u in members}}
-                if dfs(new_lists, new_halves, new_state, below, depth + 1):
+                if dfs(new_lists, new_halves, new_state, below, placed, depth + 1):
                     return True
             return False
 
@@ -502,7 +534,7 @@ class _Searcher:
             sum(s[0] for s in single[:wt]) for wt in range(max(dist[v1]), length + 1)
         ]
         try:
-            found = dfs({v1: roots}, ({0: low}, {0: high}), start, {}, 0)
+            found = dfs({v1: roots}, ({0: low}, {0: high}), start, {}, 0, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 

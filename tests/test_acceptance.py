@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to watch the lines).
-The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8, N_2(J(6,2)) = 8 and the
-order-5 brute-force sweep at r = 4) are gated on SQUASHCUBE_OPT_IN_TESTS=1.
+The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8, N_2(J(6,2)) = 8,
+N_3(K_{3,3,3,3}) = 7 and the order-5 brute-force sweep at r = 4) are gated on
+SQUASHCUBE_OPT_IN_TESTS=1.
 """
 
 import itertools
@@ -171,6 +172,21 @@ def test_criterion_5_opt_in_j62():
     )
     _report(5, ok, f"N_2(J(6,2)) = 8: length 7 refuted in {short.nodes_explored} "
                    f"nodes ({time.time() - start:.1f}s)")
+
+
+@opt_in
+def test_criterion_5_opt_in_k3333_r3():
+    # N_3(K_{3,3,3,3}) = 7: lengths 6 and below are exhausted and length 7
+    # is found, with the weight floors at every depth.
+    start = time.time()
+    g = complete_multipartite([3, 3, 3, 3])
+    res = solve_N(SearchConfig(graph=g, r=3))
+    ok = (
+        (res.value, res.exhausted, res.nodes_explored) == (7, True, 5_164_849)
+        and verify_addressing(bfs_distances(g), res.addressing) == []
+    )
+    _report(5, ok, f"N_3(K_3,3,3,3) = 7 in {res.nodes_explored} nodes "
+                   f"({time.time() - start:.1f}s)")
 
 
 def test_criterion_6_census_matches_published_table():

@@ -28,6 +28,7 @@ from squashcube.search import (
     feasible_at_length,
     solve_N,
 )
+from squashcube.spectral import lower_bound
 from oracles import brute_force_solve
 
 
@@ -164,32 +165,65 @@ def test_the_solver_never_lists_the_automorphism_group(monkeypatch):
     for g, value in ((complete_multipartite([3, 3, 3]), 7), (petersen_graph(), 6),
                      (cycle_graph(12), 6), (complete_graph(12), 11)):
         cfg = SearchConfig(graph=g, r=2)
-        assert squashcube.search._Searcher(cfg).orbit_floors
+        searcher = squashcube.search._Searcher(cfg)
+        assert searcher.run(value).feasible
+        assert any(searcher.orbits.values())      # the floors engage
         res = solve_N(cfg)
         assert (res.value, res.exhausted) == (value, True)
 
 
-def _floors_from_the_whole_group(g, anchors):
-    """{anchor index: the rest of its orbit}, filtering every automorphism
-    down the anchors' stabilizers."""
-    perms = automorphisms(g)
-    floors = {}
-    for i, v in enumerate(anchors):
-        members = {p[v] for p in perms} - {v}
-        if members:
-            floors[i] = members
-        perms = [p for p in perms if p[v] == v]
-    return floors
+def _placements(g, rng):
+    """Placement orders whose prefixes are the placed sets to check: each
+    subset's vertices in increasing order for n <= 6, so that every set is
+    a prefix, and 20 random orders above."""
+    if g.n <= 6:
+        return [[v for v in range(g.n) if mask >> v & 1] for mask in range(1 << g.n)]
+    orders = []
+    for _ in range(20):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        orders.append(order)
+    return orders
 
 
-def test_anchor_orbits_from_generators_match_the_whole_group():
+def test_stabilizer_orbits_from_generators_match_the_whole_group():
+    # For every placed set P and every v outside it, the memoised orbit of v
+    # under the automorphisms fixing P is the one the listed group gives.
+    rng = random.Random(0)
     named = [petersen_graph(), complete_multipartite([3, 3, 3]), complete_multipartite([4, 4, 1]),
              complete_multipartite([4, 3, 2]), cycle_graph(12)]
     for g in [g for n in range(1, 7) for g in connected_graphs(n)] + named:
-        for first in (None, tuple(reversed(range(g.n)))[:3]):
-            searcher = squashcube.search._Searcher(SearchConfig(graph=g, first_vertices=first))
-            expected = _floors_from_the_whole_group(g, searcher.anchors)
-            assert searcher.orbit_floors == expected, (emit_graph6(g), first)
+        perms = automorphisms(g)
+        searcher = squashcube.search._Searcher(SearchConfig(graph=g))
+        if searcher.stabilizers is None:        # no floors without symmetry
+            assert len(perms) == 1, emit_graph6(g)
+            continue
+        for order in _placements(g, rng):
+            # prefix k's stabilizer is memoised while checking prefix k - 1
+            for k in range(len(order) + 1):
+                prefix = order[:k]
+                mask = sum([1 << u for u in prefix])
+                fixing = [p for p in perms if all(p[u] == u for u in prefix)]
+                for v in set(range(g.n)) - set(prefix):
+                    expected = {p[v] for p in fixing} - {v}
+                    got = searcher.rest_of_orbit(mask, v)
+                    assert set(got) == expected, (emit_graph6(g), prefix, v)
+
+
+def test_stabilizer_generators_stay_short():
+    # Schreier generators are not sifted, so their number could grow with
+    # each placed vertex; on these large groups it stays at most n.
+    rng = random.Random(1)
+    for g in (complete_graph(12), complete_multipartite([3, 3, 3, 3]),
+              complete_multipartite([6, 6])):
+        searcher = squashcube.search._Searcher(SearchConfig(graph=g))
+        for order in _placements(g, rng):
+            placed = 0
+            for v in order:
+                searcher.rest_of_orbit(placed, v)
+                placed |= 1 << v
+        assert len(searcher.stabilizers) > 100
+        assert max(map(len, searcher.stabilizers.values())) <= g.n
 
 
 def test_search_config_rejects_bad_r():
@@ -282,6 +316,38 @@ def test_odd_cycles_at_r3_keep_their_node_counts_and_witnesses():
         assert (res.value, res.exhausted) == (len(words[0]), True)
         assert (res.nodes_explored, res.addressing.words) == (nodes, words)
         assert verify_addressing(bfs_distances(g), res.addressing) == []
+
+
+MULTIPARTITE_PINS = [
+    # (class sizes, r, N_r, nodes): the weight floors engage at every depth
+    ([3, 3, 3], 2, 7, 25_151),
+    ([3, 3, 3], 3, 5, 3_925),
+    ([4, 4, 1], 2, 7, 15_054),
+    ([4, 3, 2], 2, 7, 18_585),
+]
+
+
+@pytest.mark.parametrize("sizes,r,value,nodes", MULTIPARTITE_PINS)
+def test_multipartite_node_counts_are_pinned(sizes, r, value, nodes):
+    g = complete_multipartite(sizes)
+    res = solve_N(SearchConfig(graph=g, r=r))
+    assert (res.value, res.exhausted, res.nodes_explored) == (value, True, nodes)
+    assert verify_addressing(bfs_distances(g), res.addressing) == []
+
+
+@pytest.mark.parametrize("graph,r", [(complete_multipartite(sizes), r)
+                                     for sizes, r, _, _ in MULTIPARTITE_PINS]
+                         + [(petersen_graph(), 2)])
+def test_floors_only_cut_the_tree(graph, r):
+    # The floors neither change N_r nor reorder the tree: on a refuted
+    # length the pruned tree is part of the unpruned one.
+    on, off = SearchConfig(graph=graph, r=r), SearchConfig(graph=graph, r=r, use_aut_pruning=False)
+    value = solve_N(on).value
+    assert solve_N(off).value == value
+    for length in range(lower_bound(bfs_distances(graph), r).best, value):
+        pruned, unpruned = feasible_at_length(on, length), feasible_at_length(off, length)
+        assert not pruned.feasible and not unpruned.feasible
+        assert pruned.nodes_explored <= unpruned.nodes_explored, length
 
 
 @pytest.mark.parametrize(
