@@ -7,9 +7,9 @@ BFS distances, and compares the general construction with the shorter
 length-8 table for J(6,3).
 
 Optional: pass --search-j63 to certify N_2(J(6,3)) = 8 from scratch with the
-exact solver: it exhausts length 7 (about a minute of CPU) and rediscovers a
-length-8 addressing (a few seconds).  Pass --search-j62 to certify
-N_2(J(6,2)) = 8: it exhausts length 7 (about 2 minutes), so the general
+exact solver: it exhausts length 7 (about 7 seconds of CPU) and rediscovers
+a length-8 addressing (about a second).  Pass --search-j62 to certify
+N_2(J(6,2)) = 8: it exhausts length 7 (about 6 seconds), so the general
 construction's length k(n-k) = 8 is optimal there.
 """
 
@@ -55,9 +55,9 @@ def exhaust_length_7(n, k):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--search-j63", action="store_true",
-                    help="also prove N_2(J(6,3)) = 8 by search (about a minute)")
+                    help="also prove N_2(J(6,3)) = 8 by search (about 8 seconds)")
     ap.add_argument("--search-j62", action="store_true",
-                    help="also prove N_2(J(6,2)) = 8 by search (about 2 minutes)")
+                    help="also prove N_2(J(6,2)) = 8 by search (about 6 seconds)")
     args = ap.parse_args()
 
     show_table(4, 1)
@@ -85,7 +85,7 @@ def main():
           f"{'VALID' if not bad else 'BROKEN'}")
     print("So N_2(J(6,3)) <= 8 < 9 = k(n-k): the general construction is not")
     print("always optimal.  (Certifying that 8 is optimal means exhausting")
-    print("length 7: pass --search-j63, about a minute.)")
+    print("length 7: pass --search-j63, about 8 seconds.)")
 
     if args.search_j63:
         cfg = exhaust_length_7(6, 3)

@@ -4,7 +4,7 @@
 The first few odd cycles fit the pattern N_3(C_{2n+1}) = n + 1, but it breaks
 at C_13.  This demo verifies the bundled optimal tables for C_5 .. C_19 and
 recomputes every value exactly, from the lower bound up to the first feasible
-length (about 3 seconds, most of it the length-10 infeasibility proof for
+length (about 2 seconds, most of it the length-10 infeasibility proof for
 C_19); it exits 1 if a recomputed value differs from the table.
 """
 

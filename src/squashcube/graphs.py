@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
 
 MAX_VERTICES = 4096
-SYMMETRY_CAP = 12
+SYMMETRY_CAP = 64
 CANONICAL_CAP = 9
 
 
@@ -322,7 +322,15 @@ def emit_graph6(g):
 # ---------------------------------------------------------------------------
 # symmetry: one search over refined vertex orderings gives both the canonical
 # label and generators of the automorphism group; the small censuses dedupe
-# on the label
+# on the label.  The label takes the greatest row at each position, which
+# belongs to a neighbour of the vertices placed last, so an ordering walks
+# along edges and ties break within a few steps; the least row of a sparse
+# graph is the empty row of a non-neighbour, which tells the search nothing
+# (on C19 that took 5.8 s, against 0.4 ms).  SYMMETRY_CAP bounds what was
+# measured: up to 64 vertices the worst graphs found, random 3- and
+# 4-regular ones on 64 vertices, take up to about 1 s, while J(10,5) (252
+# vertices) and a random cubic graph on 200 vertices did not finish in
+# 120 s, and the recursion is n deep.
 
 def _refine_colors(nbrs):
     colors = [len(a) for a in nbrs]
@@ -352,16 +360,20 @@ def _close(mask, perms):
     return mask
 
 
-def _least_orderings(g):
+def _greatest_orderings(g):
     """Canonical label `(n, rows)`, the first ordering that reaches it, and
     automorphisms that generate the group.
 
     The orderings list the `_refine_colors` classes in color order.  A
     vertex's row is the bitmask of the placed positions it is adjacent to,
     so the rows in placement order spell out the graph; the label is the
-    lexicographically least row sequence.  Two orderings with equal rows
-    differ by an automorphism, and automorphisms preserve the refined colors
-    and the rows, so they map the tree of orderings onto itself.
+    lexicographically greatest row sequence.  Bit q of a row is position q,
+    so each position takes a vertex adjacent to the latest placed vertex
+    that has a neighbour left in the slot's class.  Any choice that
+    isomorphisms respect gives a canonical label; this one splits ties
+    early on sparse graphs.  Two orderings with equal rows differ by an
+    automorphism, and automorphisms preserve the refined colors and the
+    rows, so they map the tree of orderings onto itself.
 
     A leaf whose rows equal those of the first leaf that reached the current
     best gives the automorphism from that leaf to it, which stays one if a
@@ -406,21 +418,21 @@ def _least_orderings(g):
             back = next(q for q in range(n) if first[q] != order[q])
             return
         cls = [v for v in slots[p] if free[v]]
-        least = min([rows[v] for v in cls])
+        greatest = max([rows[v] for v in cls])
         if p == len(best):
-            best.append(least)
-        elif least != best[p]:
-            if least > best[p]:
+            best.append(greatest)
+        elif greatest != best[p]:
+            if greatest < best[p]:
                 return
             del best[p:]
-            best.append(least)
+            best.append(greatest)
             first = None
         bit = 1 << p
         seen = 0          # the explored children's orbits
         stab = []         # the automorphisms found that fix the placed vertices
         used = 0          # how many of gens stab has looked at
         for v in cls:
-            if rows[v] != least:
+            if rows[v] != greatest:
                 continue
             if used < len(gens):
                 stab.extend([s for s, f in zip(gens[used:], fixes[used:]) if f & placed == placed])
@@ -481,11 +493,12 @@ def automorphisms(g):
     """Full automorphism group as a list of vertex permutations (tuples).
 
     Multiplies out the transversals of the stabilizer chain that the base
-    and strong generators of `_least_orderings` give, level by level, so
+    and strong generators of `_greatest_orderings` give, level by level, so
     each automorphism is built once from an earlier one.  Raises
-    CapabilityError above SYMMETRY_CAP vertices.
+    CapabilityError above SYMMETRY_CAP = 64 vertices, past the graphs the
+    ordering search was measured on.
     """
-    _, base, gens = _least_orderings(g)
+    _, base, gens = _greatest_orderings(g)
     perms = [tuple(range(g.n))]
     for k in reversed(range(g.n)):
         stab = [s for s in gens if all(s[v] == v for v in base[:k])]
@@ -497,9 +510,9 @@ def automorphisms(g):
 
 def automorphism_generators(g):
     """Permutations (tuples) that generate the automorphism group, from
-    `_least_orderings`, without listing the group.  Raises CapabilityError
+    `_greatest_orderings`, without listing the group.  Raises CapabilityError
     above SYMMETRY_CAP vertices."""
-    return _least_orderings(g)[2]
+    return _greatest_orderings(g)[2]
 
 
 def orbit_and_stabilizer(v, gens, n):
@@ -515,10 +528,10 @@ def orbit_and_stabilizer(v, gens, n):
 def canonical_form(g):
     """Canonical label (hashable): equal exactly for isomorphic graphs.
 
-    See `_least_orderings`.  Raises CapabilityError above SYMMETRY_CAP
-    vertices.
+    See `_greatest_orderings`.  Raises CapabilityError above SYMMETRY_CAP =
+    64 vertices, past the graphs the ordering search was measured on.
     """
-    return _least_orderings(g)[0]
+    return _greatest_orderings(g)[0]
 
 
 def _components(adj):
@@ -547,7 +560,7 @@ def _augmented(n, connected):
         nxt = []
         new = 1 << (m - 1)
         for g in level:
-            gens = _least_orderings(g)[2]
+            gens = _greatest_orderings(g)[2]
             parts = _components(g.adj) if connected and m == n else ()
             done = set()
             for mask in range(new):

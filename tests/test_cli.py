@@ -221,7 +221,7 @@ def test_capability_error_exits_2_with_one_error_line(capsys, monkeypatch):
     from squashcube.errors import CapabilityError
 
     def capped(n, seed):
-        raise CapabilityError(f"symmetry search capped at 12 vertices (n={n})")
+        raise CapabilityError(f"symmetry search capped at 64 vertices (n={n})")
 
     monkeypatch.setattr(squashcube.cli, "random_graph", capped)
     code, out, err = run(capsys, "random-demo", "-n", "64")

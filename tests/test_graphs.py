@@ -22,6 +22,7 @@ from squashcube.graphs import (
     johnson_graph,
     johnson_subsets,
     kam_graph,
+    multipartite_classes,
     parse_graph6,
     path_graph,
     petersen_graph,
@@ -377,6 +378,10 @@ def test_automorphisms_match_networkx_matcher():
         _from_nx(nx.truncated_tetrahedron_graph()),
         complete_multipartite([3, 3, 3]),
         complete_multipartite([4, 4, 1]),
+        cycle_graph(13),
+        _from_nx(nx.convert_node_labels_to_integers(nx.hypercube_graph(4))),
+        johnson_graph(6, 2),
+        path_graph(20),
     ]
     small = [g for n in range(1, 7) for g in connected_graphs(n)]
     for g in small + named:
@@ -386,17 +391,51 @@ def test_automorphisms_match_networkx_matcher():
             for m in GraphMatcher(h, h).isomorphisms_iter()
         }
         assert set(automorphisms(g)) == expected, emit_graph6(g)
+    # The matcher takes half a minute over K_{4,4,5}'s 4!4!5!2! automorphisms.
+    # They are the permutations that map classes onto classes, so listing
+    # that many distinct ones that do is listing them all.
+    classes = {frozenset(c) for c in multipartite_classes([4, 4, 5])}
+    perms = automorphisms(complete_multipartite([4, 4, 5]))
+    assert len(set(perms)) == len(perms) == 24 * 24 * 120 * 2
+    assert all({frozenset([p[v] for v in c]) for c in classes} == classes for p in perms)
 
 
 def test_automorphism_cap():
+    assert len(automorphisms(cycle_graph(64))) == 128
     with pytest.raises(CapabilityError):
-        automorphisms(cycle_graph(13))
+        automorphisms(cycle_graph(65))
 
 
 def test_canonical_form_cap():
-    canonical_form(cycle_graph(12))
+    canonical_form(cycle_graph(64))
     with pytest.raises(CapabilityError):
-        canonical_form(cycle_graph(13))
+        canonical_form(cycle_graph(65))
+
+
+def test_group_orders_above_twelve_vertices():
+    """The product of the orbit sizes down a stabilizer chain, with
+    generators from the ordering search and Schreier's lemma, is the group
+    order.  Each search takes milliseconds; taking the least row instead of
+    the greatest, Q5 alone ran for minutes."""
+    nx = pytest.importorskip("networkx")
+
+    def hypercube(d):
+        return _from_nx(nx.convert_node_labels_to_integers(nx.hypercube_graph(d)))
+
+    cases = [
+        (cycle_graph(41), 82),
+        (hypercube(5), 2 ** 5 * 120),
+        (hypercube(6), 2 ** 6 * 720),
+        (johnson_graph(7, 3), 5040),
+        (complete_multipartite([5, 5, 5]), 120 ** 3 * 6),
+    ]
+    for g, expected in cases:
+        gens = graphs_module.automorphism_generators(g)
+        order = 1
+        for v in range(g.n):
+            orbit, gens = graphs_module.orbit_and_stabilizer(v, gens, g.n)
+            order *= len(orbit)
+        assert order == expected, g
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -476,14 +515,14 @@ def test_the_ordering_search_of_k12_returns_a_few_generators():
     returns the 11 adjacent transpositions, one per level of the stabilizer
     chain."""
     assert canonical_form(complete_graph(12)) == (12, tuple((1 << p) - 1 for p in range(12)))
-    _, base, gens = graphs_module._least_orderings(complete_graph(12))
+    _, base, gens = graphs_module._greatest_orderings(complete_graph(12))
     assert base == tuple(range(12))
     moved = sorted([v for v in range(12) if s[v] != v] for s in gens)
     assert moved == [[v, v + 1] for v in range(11)]
 
 
 def test_canonical_form_separates_same_degree_graphs():
-    """Equal labels exactly for isomorphic pairs, at 9-12 vertices.
+    """Equal labels exactly for isomorphic pairs, at 9-32 vertices.
 
     Every graph in a group has the same degree sequence, and regular graphs
     are blind to color refinement, so only the ordering search tells them
@@ -506,6 +545,11 @@ def test_canonical_form_separates_same_degree_graphs():
         [_from_nx(nx.random_regular_graph(3, 10, seed=s)) for s in range(6)],
         [_from_nx(nx.random_regular_graph(3, 12, seed=s)) for s in range(8)],
         [_from_nx(nx.random_regular_graph(4, 11, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(3, 14, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(4, 13, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(3, 20, seed=s)) for s in range(6)],
+        [_from_nx(nx.random_regular_graph(4, 24, seed=s)) for s in range(4)],
+        [_from_nx(nx.random_regular_graph(3, 32, seed=s)) for s in range(4)],
     ]
     for group in groups:
         graphs = group + [relabel(g) for g in group]

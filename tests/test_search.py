@@ -210,12 +210,17 @@ def test_stabilizer_orbits_from_generators_match_the_whole_group():
                     assert set(got) == expected, (emit_graph6(g), prefix, v)
 
 
+def _hypercube(d):
+    return Graph(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1])
+
+
 def test_stabilizer_generators_stay_short():
     # Schreier generators are not sifted, so their number could grow with
     # each placed vertex; on these large groups it stays at most n.
     rng = random.Random(1)
     for g in (complete_graph(12), complete_multipartite([3, 3, 3, 3]),
-              complete_multipartite([6, 6])):
+              complete_multipartite([6, 6]), complete_multipartite([5, 5, 5]),
+              johnson_graph(6, 3), johnson_graph(7, 3), _hypercube(6)):
         searcher = squashcube.search._Searcher(SearchConfig(graph=g))
         for order in _placements(g, rng):
             placed = 0
@@ -300,12 +305,14 @@ def test_node_counts_and_witnesses_are_pinned():
 
 def test_odd_cycles_at_r3_keep_their_node_counts_and_witnesses():
     # Long lists: the search joins half-words at every anchor depth here.
-    # Value, node count and witness are those of the filter-only search.
+    # Value and witness are those of the filter-only search.  The node
+    # counts are those with the weight floors, which now apply to graphs of
+    # more than 12 vertices too.
     cases = [
-        (13, 2360, ("000000**", "0000010*", "0000110*", "00101100", "01101100",
+        (13, 1794, ("000000**", "0000010*", "0000110*", "00101100", "01101100",
                     "1110110*", "111111**", "111112**", "1112*21*", "112*021*",
                     "2*2*0211", "002*0211", "0000021*")),
-        (15, 4095, ("0000000**", "00000010*", "00000110*", "000101100",
+        (15, 3400, ("0000000**", "00000010*", "00000110*", "000101100",
                     "001101100", "011101100", "11110110*", "1111111**",
                     "1111112**", "11112*21*", "1112*021*", "21*2*0211",
                     "*202*0211", "0002*0211", "00000021*")),
@@ -335,9 +342,15 @@ def test_multipartite_node_counts_are_pinned(sizes, r, value, nodes):
     assert verify_addressing(bfs_distances(g), res.addressing) == []
 
 
+def test_johnson_6_2_length_6_is_refuted_with_floors():
+    # J(6,2) has 15 vertices; the weight floors apply up to 64.
+    out = feasible_at_length(SearchConfig(graph=johnson_graph(6, 2), r=2), 6)
+    assert (out.feasible, out.exhausted, out.nodes_explored) == (False, True, 14_537)
+
+
 @pytest.mark.parametrize("graph,r", [(complete_multipartite(sizes), r)
                                      for sizes, r, _, _ in MULTIPARTITE_PINS]
-                         + [(petersen_graph(), 2)])
+                         + [(petersen_graph(), 2), (cycle_graph(13), 3), (cycle_graph(15), 3)])
 def test_floors_only_cut_the_tree(graph, r):
     # The floors neither change N_r nor reorder the tree: on a refuted
     # length the pruned tree is part of the unpruned one.
