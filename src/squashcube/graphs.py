@@ -5,6 +5,7 @@ Vertices are always 0..n-1.  Johnson graph vertices are k-subsets of
 class by class.
 """
 
+import math
 import operator
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from .errors import CapabilityError, DisconnectedGraphError, Graph6ParseError
 
 MAX_VERTICES = 4096
 SYMMETRY_CAP = 64
+GROUP_ORDER_CAP = 1 << 20     # larger groups `automorphisms` refuses before listing any
 CANONICAL_CAP = 9
 
 
@@ -496,13 +498,18 @@ def automorphisms(g):
     and strong generators of `_greatest_orderings` give, level by level, so
     each automorphism is built once from an earlier one.  Raises
     CapabilityError above SYMMETRY_CAP = 64 vertices, past the graphs the
-    ordering search was measured on.
+    ordering search was measured on, or above GROUP_ORDER_CAP automorphisms.
     """
     _, base, gens = _greatest_orderings(g)
-    perms = [tuple(range(g.n))]
-    for k in reversed(range(g.n)):
+    chain = []
+    for k in range(g.n):
         stab = [s for s in gens if all(s[v] == v for v in base[:k])]
-        trans = _transversal(base[k], stab, g.n)
+        chain.append(_transversal(base[k], stab, g.n))
+    order = math.prod(map(len, chain))
+    if order > GROUP_ORDER_CAP:
+        raise CapabilityError(f"group order {order} above GROUP_ORDER_CAP = {GROUP_ORDER_CAP}")
+    perms = [tuple(range(g.n))]
+    for trans in reversed(chain):
         if len(trans) > 1:
             perms = [tuple(map(t.__getitem__, p)) for t in trans.values() for p in perms]
     return perms
@@ -519,8 +526,6 @@ def orbit_and_stabilizer(v, gens, n):
     """v's orbit under the group the permutations generate, as a set, and
     generators of v's stabilizer in that group (by Schreier's lemma, so
     without listing either group).  No generators means the trivial group."""
-    if not gens:
-        return {v}, []
     trans = _transversal(v, gens, n)
     return set(trans), _schreier(trans, gens) if len(trans) > 1 else gens
 
@@ -566,15 +571,14 @@ def _augmented(n, connected):
             for mask in range(new):
                 if mask in done or not all([mask & c for c in parts]):
                     continue
-                if gens:
-                    orbit = [mask]
-                    for x in orbit:
-                        bits = set_bits(x)
-                        for s in gens:
-                            y = sum([1 << s[u] for u in bits])
-                            if y not in done:
-                                done.add(y)
-                                orbit.append(y)
+                orbit = [mask]
+                for x in orbit:
+                    bits = set_bits(x)
+                    for s in gens:
+                        y = sum([1 << s[u] for u in bits])
+                        if y not in done:
+                            done.add(y)
+                            orbit.append(y)
                 h = Graph._from_adj(
                     tuple([a | new if mask >> u & 1 else a for u, a in enumerate(g.adj)]) + (mask,))
                 key = canonical_form(h)

@@ -26,13 +26,13 @@ verdict:
     then a block of *s, so the root list is the lex-leader's first rows of
     weight at least the first anchor's eccentricity: 0^wt *^(L-wt) for wt
     from that eccentricity to L;
-  * optionally, weight-vector minimality over graph automorphism orbits,
-    at every depth: when v gets its word below the placed vertices, the
-    other vertices of v's orbit under the automorphisms that fix each
-    placed vertex never get a lighter word.  The orbits come from
-    generators (`graphs.orbit_and_stabilizer`), and the group is never
-    listed: the stabilizer of the placed set plus v comes from that of the
-    placed set by Schreier's lemma.  It is memoised per placed set and
+  * weight-vector minimality over graph automorphism orbits, at every
+    depth: when v gets its word below the placed vertices, the other
+    vertices of v's orbit under the automorphisms that fix each placed
+    vertex never get a lighter word.  The orbits come from generators
+    (`graphs.orbit_and_stabilizer`), and the group is never listed: the
+    stabilizer of the placed set plus v comes from that of the placed set
+    by Schreier's lemma.  It is memoised per placed set and
     shared across lengths, since the group depends on the set alone, not
     on the order the path placed it in; once a stabilizer is trivial, every
     larger set's is too.  The floors ride the path: each assignment passes
@@ -233,6 +233,8 @@ def _check_limits(r, node_limit):
 
 @dataclass
 class SearchConfig:
+    """`use_aut_pruning=False` runs with no automorphism generators, as a
+    trivial group or more than graphs.SYMMETRY_CAP = 64 vertices does."""
     graph: Graph
     r: int = 2
     node_limit: Optional[int] = None
@@ -279,22 +281,20 @@ class _Searcher:
         g = cfg.graph
         self.n = g.n
         self.r = cfg.r
-        dist = bfs_distances(g)
-        self.dist = [[int(x) for x in row] for row in dist]
+        self.dist = bfs_distances(g).tolist()
         self.diameter = max(max(row) for row in self.dist) if g.n > 1 else 0
         self.anchors = self._pick_anchors()
         # placed set (bitmask) -> generators of the automorphisms that fix
-        # each placed vertex; None when there are no floors: pruning off,
-        # a trivial group, or a graph above graphs.SYMMETRY_CAP
-        self.stabilizers = None
-        self.orbits = {}         # (placed, v) -> the rest of v's orbit
+        # each placed vertex.  No generators is the trivial group, whatever
+        # the cause: pruning off, a graph with no symmetry, or one above
+        # graphs.SYMMETRY_CAP.
+        self.stabilizers = {0: []}
         if cfg.use_aut_pruning:
             try:
-                gens = automorphism_generators(g)
+                self.stabilizers[0] = automorphism_generators(g)
             except CapabilityError:
-                gens = []
-            if gens:
-                self.stabilizers = {0: gens}
+                pass
+        self.orbits = {}         # (placed, v) -> the rest of v's orbit
 
     def _pick_anchors(self):
         n, dist = self.n, self.dist
@@ -440,25 +440,19 @@ class _Searcher:
             extends its key by one entry.  A vertex's list joins the bucket
             pairs whose keys add up to its goal, so it is empty exactly when
             no pair does.  Before the last anchor only the next anchor's list
-            is built, and the buckets that no goal pairs up are dropped; at
-            the last anchor every list is built and the buckets are let go.
+            is built and the split buckets are handed down; at the last
+            anchor every list is built and the buckets are let go.
             """
             others, top, goals = plan[depth]
             shift = depth * width
             lo = split(halves[0], cand, min(top, (cand & half_care[0]).bit_count()), shift)
             hi = split(halves[1], cand, min(top, (cand & half_care[1]).bit_count()), shift)
-            pairs = {}
-            for g in goals:
-                keys = pairs[g] = [k for k in lo if g - k in hi]
-                if not keys:
-                    return None, None
+            if not all(any(g - k in hi for k in lo) for g in goals):
+                return None, None
             if depth == last:
                 return every_list(lo, hi, others, goal[depth + 1]), None
             nxt = anchors[depth + 1]
-            return {nxt: joined(lo, hi, goal[depth + 1][nxt])}, (
-                {k: lo[k] for keys in pairs.values() for k in keys},
-                {g - k: hi[g - k] for g, keys in pairs.items() for k in keys},
-            )
+            return {nxt: joined(lo, hi, goal[depth + 1][nxt])}, (lo, hi)
 
         def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
@@ -486,7 +480,6 @@ class _Searcher:
             return out
 
         witness = {}
-        orbit = self.rest_of_orbit if self.stabilizers is not None else None
 
         def dfs(lists, halves, state, floors, placed, depth):
             """floors: the weight floors from automorphism orbits, raised at
@@ -502,7 +495,7 @@ class _Searcher:
             else:
                 v = min(lists, key=lambda u: (len(lists[u]), u))
             floor = floors.get(v, 0)
-            members = orbit(placed, v) if orbit else ()
+            members = self.rest_of_orbit(placed, v)
             placed |= 1 << v
             for cand in lists[v]:
                 nodes += 1
@@ -557,6 +550,7 @@ def solve_N(cfg):
     Starts at the spectral/log lower bound and steps up; n-1 is a hard upper
     cutoff (the squashed-cube theorem for r=2, and larger alphabets never
     need more).  With a node limit the result may come back as a range.
+    Floors off, a trivial group and more than 64 vertices all run with no generators.
     """
     g = cfg.graph
     searcher = _Searcher(cfg)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -404,6 +405,16 @@ def test_automorphism_cap():
     assert len(automorphisms(cycle_graph(64))) == 128
     with pytest.raises(CapabilityError):
         automorphisms(cycle_graph(65))
+
+
+def test_automorphisms_refuse_a_group_above_the_order_cap():
+    # K_{5,5,5} has 5!^3 3! = 10,368,000 automorphisms; the transversal
+    # sizes give that order before any is listed.  K_{4,4,5}'s 138,240 are
+    # below graphs.GROUP_ORDER_CAP = 2^20 and still list (tested above).
+    start = time.process_time()
+    with pytest.raises(CapabilityError, match="10368000"):
+        automorphisms(complete_multipartite([5, 5, 5]))
+    assert time.process_time() - start < 1
 
 
 def test_canonical_form_cap():

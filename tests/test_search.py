@@ -18,6 +18,8 @@ from squashcube.graphs import (
     emit_graph6,
     is_connected,
     johnson_graph,
+    orbit_and_stabilizer,
+    parse_graph6,
     path_graph,
     petersen_graph,
     random_graph,
@@ -195,9 +197,6 @@ def test_stabilizer_orbits_from_generators_match_the_whole_group():
     for g in [g for n in range(1, 7) for g in connected_graphs(n)] + named:
         perms = automorphisms(g)
         searcher = squashcube.search._Searcher(SearchConfig(graph=g))
-        if searcher.stabilizers is None:        # no floors without symmetry
-            assert len(perms) == 1, emit_graph6(g)
-            continue
         for order in _placements(g, rng):
             # prefix k's stabilizer is memoised while checking prefix k - 1
             for k in range(len(order) + 1):
@@ -361,6 +360,25 @@ def test_floors_only_cut_the_tree(graph, r):
         pruned, unpruned = feasible_at_length(on, length), feasible_at_length(off, length)
         assert not pruned.feasible and not unpruned.feasible
         assert pruned.nodes_explored <= unpruned.nodes_explored, length
+
+
+@pytest.mark.parametrize("g,r,cap", [(parse_graph6("FCzV_"), 2, None), (cycle_graph(7), 3, 6)])
+def test_no_symmetry_is_one_case_whatever_its_source(monkeypatch, g, r, cap):
+    # A graph with no automorphism (FCzV_, of order 7), one above
+    # graphs.SYMMETRY_CAP (C7 under a cap of 6) and use_aut_pruning=False
+    # all run with no generators, so each gives the node count and witness
+    # of the floors-off search.
+    off = solve_N(SearchConfig(graph=g, r=r, use_aut_pruning=False))
+    if cap is not None:
+        assert squashcube.search._Searcher(SearchConfig(graph=g, r=r)).stabilizers[0]
+        monkeypatch.setattr(squashcube.graphs, "SYMMETRY_CAP", cap)
+    for pruning in (True, False):
+        cfg = SearchConfig(graph=g, r=r, use_aut_pruning=pruning)
+        assert squashcube.search._Searcher(cfg).stabilizers == {0: []}
+        res = solve_N(cfg)
+        assert (res.value, res.nodes_explored, res.addressing.words) == (
+            off.value, off.nodes_explored, off.addressing.words)
+    assert orbit_and_stabilizer(3, [], g.n) == ({3}, [])
 
 
 @pytest.mark.parametrize(
