@@ -155,8 +155,10 @@ def cmd_solve(args):
               f"(node limit hit after {res.nodes_explored} nodes)")
         return EXIT_INVALID
     print(f"N_{args.r} = {res.value} (nodes {res.nodes_explored})")
-    if args.output or args.certificate:
-        return _emit_addressing(res.addressing, args.output)
+    if args.certificate:
+        sys.stdout.write(format_addressing(res.addressing))
+    if args.output:
+        save_addressing(args.output, res.addressing)
     return EXIT_OK
 
 

@@ -280,24 +280,26 @@ def parse_graph6(line):
         raise Graph6ParseError(
             f"expected {nbytes} adjacency bytes, got {len(data) - pos}", pos
         )
-    bits = []
-    for i in range(nbytes):
-        b = data[pos + i]
-        if not 63 <= b <= 126:
-            raise Graph6ParseError(f"invalid byte {b}", pos + i)
-        v = b - 63
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    body = data[pos:]
+    if body and not (63 <= min(body) and max(body) <= 126):
+        i = next(i for i, b in enumerate(body) if not 63 <= b <= 126)
+        raise Graph6ParseError(f"invalid byte {body[i]}", pos + i)
+    bits = "".join([format(b - 63, "06b") for b in body])
+    if "1" in bits[nbits:]:
         raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
 
-    edges = []
-    idx = 0
+    # Column j holds x(0,j) .. x(j-1,j): reversed, it is j's mask of lower
+    # neighbours, and each of its bits is mirrored into the lower vertex.
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+        col = bits[j * (j - 1) // 2:j * (j + 1) // 2]
+        adj[j] = int(col[::-1], 2)
+        bit = 1 << j
+        i = col.find("1")
+        while i >= 0:
+            adj[i] |= bit
+            i = col.find("1", i + 1)
+    return Graph._from_adj(tuple(adj))
 
 
 def emit_graph6(g):
@@ -306,19 +308,10 @@ def emit_graph6(g):
         head = bytes([n + 63])
     else:                                   # n <= MAX_VERTICES fits in 18 bits
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        v = 0
-        for b in bits[i:i + 6]:
-            v = (v << 1) | b
-        body.append(v + 63)
-    return head + bytes(body)
+    # column j is j's mask of lower neighbours, x(0,j) first
+    bits = "".join([format(g.adj[j] & (1 << j) - 1, f"0{j}b")[::-1] for j in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    return head + bytes([int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6)])
 
 
 # ---------------------------------------------------------------------------

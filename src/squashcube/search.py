@@ -70,18 +70,20 @@ vector of distances to those words, a new anchor word splits every bucket
 by distance (one filter pass per distance), which extends the key by one
 entry, and a vertex's list is the sorted union of lo | hi over the bucket
 pairs whose keys add up to its target vector (a meet-in-the-middle join).
-The root is the empty vector: one bucket per half.  Before the last anchor
-only the next anchor's list is built, and a vertex whose bucket pairs are
-all empty ends the node; at the last anchor every list is built.  A node
-whose lists are short filters them instead (the rule is in `joins`), and
-below the anchors every assignment filters each remaining vertex's list by
-its distance to the new word.  Both routes give the same sorted lists, so
-the tree does not depend on the route.  Vertices that need the same
-distances share one list, which is safe because lists are never mutated,
-only filtered into new ones.  The vertex with the fewest candidates is
-assigned next.  Every witness is re-verified before it is returned,
-through the coverage matrix of its partition, which shares no code with
-the filter.
+The root is the empty vector: one bucket per half, and the root always
+joins.  A vertex whose bucket pairs are all empty ends the node.  The
+parent picks its child's route once, where it splits the buckets: a child
+that joins gets only the next anchor's list and the split buckets, while
+a child of the last anchor, or one whose lists are short (the rule is in
+`joins`), gets every list, joined once, and no buckets.  A node without
+buckets filters: each assignment filters every remaining vertex's list by
+its distance to the new word, as below the anchors.  Both routes give the
+same sorted lists, so the tree does not depend on the route.  Vertices
+that need the same distances share one list, which is safe because lists
+are never mutated, only filtered into new ones.  The vertex with the
+fewest candidates is assigned next.  Every witness is re-verified before
+it is returned, through the coverage matrix of its partition, which shares
+no code with the filter.
 """
 
 import functools
@@ -234,7 +236,11 @@ def _check_limits(r, node_limit):
 @dataclass
 class SearchConfig:
     """`use_aut_pruning=False` runs with no automorphism generators, as a
-    trivial group or more than graphs.SYMMETRY_CAP = 64 vertices does."""
+    trivial group or more than graphs.SYMMETRY_CAP = 64 vertices does.
+    `first_vertices`, when set, are the anchors, the vertices that get their
+    words first, in order: one to three distinct vertices of the graph, or
+    ValueError.  Unset, the search picks a diametral pair and the vertex
+    farthest from both."""
     graph: Graph
     r: int = 2
     node_limit: Optional[int] = None
@@ -243,6 +249,13 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_limits(self.r, self.node_limit)
+        chosen = self.first_vertices
+        if chosen is not None and not (
+            1 <= len(chosen) <= 3 and len(set(chosen)) == len(chosen)
+            and all(0 <= v < self.graph.n for v in chosen)
+        ):
+            raise ValueError(f"first_vertices must be 1 to 3 distinct vertices "
+                             f"in [0, {self.graph.n}), got {chosen}")
 
 
 @dataclass
@@ -299,12 +312,7 @@ class _Searcher:
     def _pick_anchors(self):
         n, dist = self.n, self.dist
         if self.cfg.first_vertices is not None:
-            chosen = list(self.cfg.first_vertices)
-            if not chosen or len(set(chosen)) != len(chosen) or any(
-                not 0 <= v < n for v in chosen
-            ):
-                raise ValueError(f"bad first_vertices {self.cfg.first_vertices}")
-            return chosen[:3]
+            return list(self.cfg.first_vertices)
         if n == 1:
             return [0]
         best = max(
@@ -400,13 +408,10 @@ class _Searcher:
             whose keys add up to g."""
             return sorted([a | b for k in lo if g - k in hi for b in hi[g - k] for a in lo[k]])
 
-        def every_list(lo, hi, vertices, goals):
-            """The joined lists of these vertices, one list per goal."""
-            by_goal = {g: joined(lo, hi, g) for g in {goals[u] for u in vertices}}
-            return {u: by_goal[goals[u]] for u in vertices}
-
-        def joins(halves, depth):
-            """Whether this node's children cost less to join than to filter.
+        def joins(lo, hi, depth):
+            """Whether the anchor node at depth, whose buckets are lo and hi,
+            costs less to expand by joining than by filtering.  Its parent
+            asks, in `join_children`, and builds the node for the answer.
 
             Both routes spend their time in passes of the filter `at`:
             filtering makes one pass per distinct list and distance, over
@@ -420,7 +425,6 @@ class _Searcher:
             lists split into buckets of a few words each, so they keep the
             filter; long lists are cheaper to join at every anchor depth.
             """
-            lo, hi = halves
             _, top, goals = plan[depth]
             words = sum(map(len, lo.values())) + sum(map(len, hi.values()))
             splitting = (top + 1) * (8 * (len(lo) + len(hi)) + words)
@@ -439,9 +443,11 @@ class _Searcher:
             Every bucket is split by its words' distance to cand, which
             extends its key by one entry.  A vertex's list joins the bucket
             pairs whose keys add up to its goal, so it is empty exactly when
-            no pair does.  Before the last anchor only the next anchor's list
-            is built and the split buckets are handed down; at the last
-            anchor every list is built and the buckets are let go.
+            no pair does.  This is the one place the route is chosen: a
+            child that joins in turn gets only the next anchor's list and
+            the split buckets; a child of the last anchor, or one that
+            `joins` finds cheaper to filter, gets every list, one join per
+            distinct goal, and no buckets.
             """
             others, top, goals = plan[depth]
             shift = depth * width
@@ -449,21 +455,23 @@ class _Searcher:
             hi = split(halves[1], cand, min(top, (cand & half_care[1]).bit_count()), shift)
             if not all(any(g - k in hi for k in lo) for g in goals):
                 return None, None
-            if depth == last:
-                return every_list(lo, hi, others, goal[depth + 1]), None
+            child = goal[depth + 1]
+            if depth == last or not joins(lo, hi, depth + 1):
+                by_goal = {g: joined(lo, hi, g) for g in goals}
+                return {u: by_goal[child[u]] for u in others}, None
             nxt = anchors[depth + 1]
-            return {nxt: joined(lo, hi, goal[depth + 1][nxt])}, (lo, hi)
+            return {nxt: joined(lo, hi, child[nxt])}, (lo, hi)
 
         def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
 
-            This is the route below the anchors, and at an anchor depth
-            whose lists `joins` finds cheaper to filter than to join; both
-            routes give the same sorted lists.  Vertices that hold the same
-            list at the same distance from v
-            get one filtered copy.  Sharing is safe because lists are only
-            ever filtered into new ones, never mutated, and keying on id()
-            is safe because `lists` keeps every list alive during the call.
+            This is the route of every node that holds no buckets: below
+            the anchors, and at an anchor whose parent built every list
+            (`join_children`).  Vertices that hold the same list at the same
+            distance from v get one filtered copy.  Sharing is safe because
+            lists are only ever filtered into new ones, never mutated, and
+            keying on id() is safe because `lists` keeps every list alive
+            during the call.
             """
             dv = dist[v]
             out = {}
@@ -487,13 +495,7 @@ class _Searcher:
             nonlocal nodes
             if not lists:
                 return True
-            if depth <= last:
-                v = anchors[depth]
-                if halves is not None and not joins(halves, depth):
-                    lists = {**every_list(*halves, plan[depth][0], goal[depth]), v: lists[v]}
-                    halves = None
-            else:
-                v = min(lists, key=lambda u: (len(lists[u]), u))
+            v = anchors[depth] if depth <= last else min(lists, key=lambda u: (len(lists[u]), u))
             floor = floors.get(v, 0)
             members = self.rest_of_orbit(placed, v)
             placed |= 1 << v
@@ -507,11 +509,10 @@ class _Searcher:
                 new_state = step(state, cand)
                 if new_state is None:
                     continue
-                if halves is None:
-                    new_lists = children(v, cand, lists)
-                    new_halves = None
-                else:
+                if halves:
                     new_lists, new_halves = join_children(cand, halves, depth)
+                else:
+                    new_lists, new_halves = children(v, cand, lists), None
                 if new_lists is None:
                     continue
                 witness[v] = cand

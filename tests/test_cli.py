@@ -111,6 +111,16 @@ def test_solve_certificate_is_emitted(capsys):
     assert "r=3 len=3 n=5" in out
 
 
+def test_solve_certificate_prints_and_output_writes(tmp_path, capsys):
+    out_file = tmp_path / "c5.addr"
+    code, out, _ = run(capsys, "solve", "cycle", "5", "--r", "3", "--certificate",
+                       "-o", str(out_file))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "N_3 = 3 (nodes 17)" and lines[1] == "r=3 len=3 n=5"
+    assert out_file.read_text() == "\n".join(lines[1:]) + "\n"
+
+
 def test_solve_node_limit(capsys):
     code, out, _ = run(capsys, "solve", "petersen", "--node-limit", "3")
     assert code == 1 and out.startswith("unknown")

@@ -290,8 +290,9 @@ def test_graph6_hand_decoded_examples():
 
 def test_graph6_cross_check_against_networkx():
     nx = pytest.importorskip("networkx")
-    for seed in range(12):
-        g = random_graph(int(np.random.default_rng(seed).integers(2, 30)), seed)
+    sizes = [int(np.random.default_rng(seed).integers(2, 30)) for seed in range(12)]
+    for seed, n in enumerate(sizes + [300]):        # 300 takes the 4-byte header
+        g = random_graph(n, seed)
         line = emit_graph6(g)
         h = nx.from_graph6_bytes(line)
         assert set(g.edges) == {tuple(sorted(e)) for e in h.edges()}
@@ -313,17 +314,26 @@ def test_graph6_large_n_header():
 
 
 def test_graph6_errors_carry_offsets():
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("")
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("C~~")  # trailing byte
-    assert exc.value.offset == 1
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("C")  # truncated adjacency bits
-    with pytest.raises(Graph6ParseError):
-        parse_graph6(bytes([30, 63]))  # header byte out of range
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("A~")  # nonzero padding
+    cases = [
+        ("", "empty graph6 line", 0),
+        ("C~~", "expected 1 adjacency bytes, got 2", 1),        # trailing byte
+        ("C", "expected 1 adjacency bytes, got 0", 1),          # truncated adjacency bits
+        (bytes([30, 63]), "invalid header byte 30", 0),
+        ("A~", "nonzero padding bits", 1),
+        ("D?\x7f", "invalid byte 127", 2),                      # adjacency byte out of range
+        ("E??\x7f", "invalid byte 127", 3),                     # ... in the last byte
+        ("~?", "truncated vertex count", 2),
+        ("~~??", "truncated vertex count", 4),
+        ("~?\x20?", "invalid byte 32", 2),                      # vertex-count byte
+        ("~~???\x7f??", "invalid byte 127", 5),
+        ("~~??A???", "vertex count 524288 exceeds cap 4096", 0),
+        ("~?@@", "expected 347 adjacency bytes, got 0", 4),
+    ]
+    for line, message, offset in cases:
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6(line)
+        assert str(exc.value) == f"{message} (byte offset {offset})", line
+        assert exc.value.offset == offset, line
 
 
 def test_automorphism_counts():

@@ -146,17 +146,11 @@ def test_feasibility_is_monotone_in_length():
 def test_first_vertices_override():
     cfg = SearchConfig(graph=cycle_graph(6), r=2, first_vertices=(0, 1, 2))
     assert feasible_at_length(cfg, 3).feasible
-    with pytest.raises(ValueError):
-        feasible_at_length(
-            SearchConfig(graph=cycle_graph(6), r=2, first_vertices=(0, 0, 1)), 3
-        )
-    with pytest.raises(ValueError):
-        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=()))
-    # entries past the three anchors used are checked too
-    with pytest.raises(ValueError):
-        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 99)))
-    with pytest.raises(ValueError):
-        solve_N(SearchConfig(graph=cycle_graph(5), first_vertices=(0, 1, 2, 0)))
+    # One to three distinct vertices in range, checked when the config is
+    # made: a fourth anchor would never run, so it is refused, not dropped.
+    for first in [(0, 0, 1), (), (0, 1, 99), (0, 1, -1), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError):
+            SearchConfig(graph=cycle_graph(5), first_vertices=first)
 
 
 def test_the_solver_never_lists_the_automorphism_group(monkeypatch):
@@ -464,6 +458,18 @@ def test_census_small_orders():
     lines = [emit_graph6(g) for g in connected_graphs(5)]
     res = census_distribution(lines, r=2)
     assert dict(res.by_n[5]) == {1: 17, 2: 4}
+
+
+def test_order_7_census_total_nodes_are_pinned():
+    # The order-7 graphs are the ones whose anchor nodes filter most often
+    # instead of joining; both routes give the same lists, so the total holds.
+    row, nodes = {}, 0
+    for g in connected_graphs(7):
+        res = solve_N(SearchConfig(graph=g, r=2))
+        row[g.n - res.value] = row.get(g.n - res.value, 0) + 1
+        nodes += res.nodes_explored
+    assert nodes == 47_195
+    assert row == {1: 316, 2: 498, 3: 38, 4: 1}
 
 
 def test_census_n2():
