@@ -245,7 +245,13 @@ _G6_HEADER = b">>graph6<<"
 
 def parse_graph6(line):
     if isinstance(line, str):
-        line = line.encode("ascii")
+        if line.isascii():
+            line = line.encode("ascii")
+        else:
+            # One byte per character, so a str gets the offsets of the same
+            # line as bytes: Latin-1 where it reaches, else 0xff.  No check
+            # below accepts a byte above 126.
+            line = bytes(min(ord(c), 255) for c in line)
     data = line.strip()
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]

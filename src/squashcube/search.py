@@ -61,8 +61,10 @@ tree below is the same for S and S after h, and the two symmetry groups act
 on different sides of the addressing, so they combine.
 
 One recursion does all the work, from the root down.  Every list goes
-through the one filter, built once per length (one list comprehension per
-list, with no call per word).  While the (up to three) anchors get
+through the one filter, built once per length.  The filter has two bodies,
+chosen by the list's length: a short list takes one list comprehension,
+with no call per word, and a long one, where the packed words fit in 64
+bits, one numpy pass over it as an array.  While the (up to three) anchors get
 their words, a list is the set of all words at given distances from the
 anchor words placed so far, so it can be built without the full symbol
 space: the low and the high half-words sit in buckets keyed by their
@@ -93,6 +95,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+import numpy as np
+
 from .addressing import MAX_ALPHABET, STAR, Addressing, check_addressing
 from .errors import CapabilityError, SelfCheckError
 from .graphs import (Graph, automorphism_generators, bfs_distances, orbit_and_stabilizer,
@@ -100,6 +104,10 @@ from .graphs import (Graph, automorphism_generators, bfs_distances, orbit_and_st
 from .spectral import lower_bound
 
 STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
+# The list length from which the filter runs in numpy: the first power of
+# two above the crossover timed with the list's conversion included, which
+# lies at 60-110 words at r = 2, below 80 at r = 3 and below 40 at r = 5.
+WIDE_FILTER_WORDS = 128
 
 
 def pack_word(word, r):
@@ -132,21 +140,45 @@ def distance_filter(length, r):
     """The filter at(words, w, t): the words of `words` at distance t from w.
 
     A digit differs where some bitplane of c ^ w is set; the distance counts
-    such positions where both care bits are set.  The test is written inline
-    in one list comprehension so that no call is made per word; the words
-    keep their order.  All words must be packed with this length and
-    alphabet size.  One expression per bitplane count: the four-shift one
-    also serves three planes, since a shift past the top plane gives 0.
+    such positions where both care bits are set.  The words keep their
+    order, and all must be packed with this length and alphabet size.  The
+    filter has two bodies, chosen by the list's length:
+
+      * below WIDE_FILTER_WORDS words, the test is written inline in one list
+        comprehension, so that no call is made per word.  One expression
+        per bitplane count: the four-shift one also serves three planes,
+        since a shift past the top plane gives 0;
+      * from WIDE_FILTER_WORDS words on, when a packed word fits in 64 bits,
+        the list becomes one uint64 array and the same test runs once over
+        the whole array.  Converting the list costs more than the test saves
+        on short lists.
     """
     care = (1 << length) - 1
     s1, s2, s3, s4 = (p * length for p in range(1, 5))
     planes = (r - 1).bit_length()
+    wide_from = WIDE_FILTER_WORDS if length * (planes + 1) <= 64 else float("inf")
+    shifts = [np.uint64(p * length) for p in range(1, planes + 1)]
+
+    def wide(words, w, t):
+        a = np.array(words, dtype=np.uint64)
+        x = a ^ np.uint64(w)
+        d = x >> shifts[0]
+        for s in shifts[1:]:
+            d |= x >> s
+        d &= a
+        d &= np.uint64(w & care)
+        return a[np.bitwise_count(d) == t].tolist()
+
     if planes == 1:
         def at(words, w, t):
+            if len(words) >= wide_from:
+                return wide(words, w, t)
             cw = w & care
             return [c for c in words if (c & cw & ((c ^ w) >> s1)).bit_count() == t]
     elif planes == 2:
         def at(words, w, t):
+            if len(words) >= wide_from:
+                return wide(words, w, t)
             cw = w & care
             return [
                 c for c in words
@@ -154,6 +186,8 @@ def distance_filter(length, r):
             ]
     else:
         def at(words, w, t):
+            if len(words) >= wide_from:
+                return wide(words, w, t)
             cw = w & care
             return [
                 c for c in words

@@ -97,23 +97,33 @@ def test_packed_words_with_disjoint_positions_add_up(r):
 
 @pytest.mark.parametrize("r", range(2, 11))
 def test_distance_filter_agrees_with_word_distance(r):
-    # The filter has one expression per bitplane count; it must keep exactly
-    # the words that the string definition puts at distance t, in their
-    # order, for every t from 0 to the length.
+    # The filter has one expression per bitplane count, and a numpy body for
+    # lists of search.WIDE_FILTER_WORDS words or more whose packed words fit
+    # in 64 bits; it must keep exactly the words that the string definition
+    # puts at distance t, in their order, for every t from 0 to the length.
+    # Short lists (60 words) take the expressions; long ones (320) take the
+    # numpy body at lengths 5, 9 and the longest that fits, where the
+    # all-top-digit word reaches the highest bit (bit 63 at r = 2, 5..8),
+    # and the expressions again one past that length.
     rng = random.Random(100 + r)
     alphabet = "*" + "".join(str(d) for d in range(r))
-    for length in (1, 2, 5, 7, 13):
+    top = str(r - 1)
+    fits = 64 // ((r - 1).bit_length() + 1)      # the longest length in 64 bits
+    assert search.WIDE_FILTER_WORDS <= 320
+    shapes = [(length, 60) for length in (1, 2, 5, 7, 13)]
+    shapes += [(length, 320) for length in (5, 9, fits, fits + 1)]
+    for length, size in shapes:
         at = distance_filter(length, r)
-        strings = ["".join(rng.choice(alphabet) for _ in range(length)) for _ in range(60)]
+        strings = ["".join(rng.choice(alphabet) for _ in range(length)) for _ in range(size)]
         strings[::7] = ["*" * length] * len(strings[::7])
+        strings[3::11] = [top * length] * len(strings[3::11])
         words = [pack_word(s, r) for s in strings]
-        for s in strings[:12] + [str(r - 1) * length]:
+        for s in strings[:12] + [top * length]:
             w = pack_word(s, r)
+            dist = [word_distance(sc, s) for sc in strings]
             for t in range(length + 1):
                 assert at([], w, t) == []
-                assert at(words, w, t) == [
-                    c for c, sc in zip(words, strings) if word_distance(sc, s) == t
-                ]
+                assert at(words, w, t) == [c for c, d in zip(words, dist) if d == t]
 
 
 @pytest.mark.parametrize("r", range(2, 11))

@@ -328,6 +328,9 @@ def test_graph6_errors_carry_offsets():
         ("~~???\x7f??", "invalid byte 127", 5),
         ("~~??A???", "vertex count 524288 exceeds cap 4096", 0),
         ("~?@@", "expected 347 adjacency bytes, got 0", 4),
+        ("C\xe9", "invalid byte 233", 1),                       # non-ASCII str
+        (b"C\xe9", "invalid byte 233", 1),                      # ... and as bytes
+        ("D?\u20ac", "invalid byte 255", 2),                    # past Latin-1
     ]
     for line, message, offset in cases:
         with pytest.raises(Graph6ParseError) as exc:
