@@ -33,20 +33,30 @@ def symbol_rule(s, x, y, n, k):
     """Symbol of vertex S at coordinate (x, y), by the six-step procedure."""
     if not (k + 1 <= x <= n and 1 <= y <= k):
         raise ValueError(f"coordinate ({x},{y}) outside ([{k + 1}..{n}] x [1..{k}])")
+    return _symbols(s, [(x, y)], n, k)
+
+
+def _symbols(s, coords, n, k):
+    """The symbols of vertex S at each coordinate, with f(S) computed once."""
     pairs = matching_f(s, n, k)
     by_x = dict(pairs)
     by_y = {b: a for a, b in pairs}
-    if by_x.get(x) == y:                       # 1: (x,y) in f(S)
-        return "1"
-    if max(s) < x:                             # 2: x beyond all of S
-        return "0"
-    if x in by_x and by_x[x] < y:              # 3: f(S) matches x below y
-        return "*"
-    if y in s:                                 # 4
-        return "0"
-    if y in by_y and by_y[y] < x:              # 5: f(S) matches y left of x
-        return "0"
-    return "*"                                 # 6
+    top = max(s)
+    out = []
+    for x, y in coords:
+        if by_x.get(x) == y:                       # 1: (x,y) in f(S)
+            out.append("1")
+        elif top < x:                              # 2: x beyond all of S
+            out.append("0")
+        elif x in by_x and by_x[x] < y:            # 3: f(S) matches x below y
+            out.append("*")
+        elif y in s:                               # 4
+            out.append("0")
+        elif y in by_y and by_y[y] < x:            # 5: f(S) matches y left of x
+            out.append("0")
+        else:                                      # 6
+            out.append("*")
+    return "".join(out)
 
 
 def johnson_coordinates(n, k, order="by-x"):
@@ -66,10 +76,7 @@ def johnson_coordinates(n, k, order="by-x"):
 def johnson_addressing(n, k, order="by-x"):
     """Length-k(n-k) addressing of J(n,k) with alphabet {0, 1, *}."""
     coords = johnson_coordinates(n, k, order)
-    words = [
-        "".join(symbol_rule(s, x, y, n, k) for x, y in coords)
-        for s in johnson_subsets(n, k)
-    ]
+    words = [_symbols(s, coords, n, k) for s in johnson_subsets(n, k)]
     return Addressing(2, k * (n - k), words)
 
 
