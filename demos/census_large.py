@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Census of N_2 for connected graphs of order 8 or 9 -- the big ones.
 
-Order 8 means 11117 connected graphs: under a minute on two cores, of
-which generation takes about 11 s and 40 MiB, and the result matches the
+Order 8 means 11117 connected graphs: about 15 s on two cores, of which
+generation takes about 5 s and 34 MiB, and the result matches the
 reference row.  Order 9 means 261080 graphs; budget some hours
-(generation alone takes about 5 minutes and 250 MiB of memory, solving
+(generation alone takes about 135 s and 175 MiB of memory, solving
 dominates), which is why these rows are a script rather than a test.
-Generation was measured on a shared 2-core Xeon with CPython 3.11.
+Measured on a shared 2-core Xeon with CPython 3.11.7.
 Order 10 (11.7M graphs) is beyond `all_graphs`' 9-vertex cap.
 
 The generated connected-graph count is checked against the reference for

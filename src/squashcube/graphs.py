@@ -418,8 +418,13 @@ def _greatest_orderings(g):
             fixes.append(sum([1 << v for v in range(n) if perm[v] == v]))
             back = next(q for q in range(n) if first[q] != order[q])
             return
-        cls = [v for v in slots[p] if free[v]]
-        greatest = max([rows[v] for v in cls])
+        greatest, cands = -1, []     # the free vertices of the slot with the greatest row
+        for v in slots[p]:
+            if free[v]:
+                if rows[v] > greatest:
+                    greatest, cands = rows[v], [v]
+                elif rows[v] == greatest:
+                    cands.append(v)
         if p == len(best):
             best.append(greatest)
         elif greatest != best[p]:
@@ -428,19 +433,21 @@ def _greatest_orderings(g):
             del best[p:]
             best.append(greatest)
             first = None
+        # The first child is never skipped, so the orbits are only worked
+        # out from the second on, and not after the last.
         bit = 1 << p
         seen = 0          # the explored children's orbits
         stab = []         # the automorphisms found that fix the placed vertices
         used = 0          # how many of gens stab has looked at
-        for v in cls:
-            if rows[v] != greatest:
-                continue
-            if used < len(gens):
-                stab.extend([s for s, f in zip(gens[used:], fixes[used:]) if f & placed == placed])
-                used = len(gens)
-                seen = _close(seen, stab)
-            if seen >> v & 1:
-                continue
+        for i, v in enumerate(cands):
+            if i:
+                if used < len(gens):
+                    stab.extend([s for s, f in zip(gens[used:], fixes[used:])
+                                 if f & placed == placed])
+                    used = len(gens)
+                    seen = _close(seen, stab)
+                if seen >> v & 1:
+                    continue
             free[v] = False
             order.append(v)
             for u in nbrs[v]:
@@ -453,7 +460,8 @@ def _greatest_orderings(g):
             if back < p:
                 return
             back = n
-            seen = _close(seen | 1 << v, stab)
+            if i + 1 < len(cands):
+                seen = _close(seen | 1 << v, stab)
 
     place(0, 0)
     return (n, tuple(best)), first, gens

@@ -9,9 +9,17 @@ serves every alphabet: r = 2 needs one plane, r <= 4 two, r <= 8 three and
 r <= 10 four.  The search relies on two facts of the layout: a word's
 weight is the popcount of its low L bits, and words with disjoint positions
 add up to the word that carries both (the half-words and the root words are
-built as such sums).  Two helpers are built per word shape (L, r):
-`distance_filter` gives the filter behind every candidate list, and
-`canonical_step` gives the row-by-row lex-leader test.
+built as such sums).
+
+State lives at three levels.  Per word shape (L, r), built once per process
+and shared by every graph searched at that shape: `canonical_step`, the
+row-by-row lex-leader test with its word table, and `_shape`, which holds
+the filter `distance_filter` gives, the root words and root half-word
+buckets, a packed word -> string table for witnesses and a memo of anchor
+splits.  Per graph (`_Searcher`): the distances, the anchors, the
+stabilizer and orbit memos, and per length the goals and plan of `run`.
+Per node: the candidate lists, the anchor buckets, the lex-leader state and
+the weight floors, each handed down new and never mutated.
 
 Two prunings keep the tree small, both sound and neither affecting the
 verdict:
@@ -61,23 +69,25 @@ tree below is the same for S and S after h, and the two symmetry groups act
 on different sides of the addressing, so they combine.
 
 One recursion does all the work, from the root down.  Every list goes
-through the one filter, built once per length.  The filter has two bodies,
-chosen by the list's length: a short list takes one list comprehension,
-with no call per word, and a long one, where the packed words fit in 64
-bits, one numpy pass over it as an array.  While the (up to three) anchors get
-their words, a list is the set of all words at given distances from the
-anchor words placed so far, so it can be built without the full symbol
-space: the low and the high half-words sit in buckets keyed by their
-vector of distances to those words, a new anchor word splits every bucket
-by distance (one filter pass per distance), which extends the key by one
-entry, and a vertex's list is the sorted union of lo | hi over the bucket
-pairs whose keys add up to its target vector (a meet-in-the-middle join).
-The root is the empty vector: one bucket per half, and the root always
-joins.  A vertex whose bucket pairs are all empty ends the node.  The
-parent picks its child's route once, where it splits the buckets: a child
-that joins gets only the next anchor's list and the split buckets, while
-a child of the last anchor, or one whose lists are short (the rule is in
-`joins`), gets every list, joined once, and no buckets.  A node without
+through the one filter, built once per shape and process.  The filter has
+two bodies, chosen by the list's length: a short list takes one list
+comprehension, with no call per word, and a long one, where the packed
+words fit in 64 bits, one numpy pass over it as an array.  While the (up to
+three) anchors get their words, a list is the set of all words at given
+distances from the anchor words placed so far, so it can be built without
+the full symbol space: the low and the high half-words sit in buckets keyed
+by their vector of distances to those words, a new anchor word splits every
+bucket by distance (one filter pass per distance), which extends the key by
+one entry, and a vertex's list is the sorted union of lo | hi over the
+bucket pairs whose keys add up to its target vector (a meet-in-the-middle
+join).  A split depends only on the anchor words placed so far and on the
+largest distance each was split up to, so the shape memoises it for every
+graph.  The root is the empty vector: one bucket per half, and the root
+always joins.  A vertex whose bucket pairs are all empty ends the node.
+The parent picks its child's route once, where it splits the buckets: a
+child that joins gets only the next anchor's list and the split buckets,
+while a child of the last anchor, or one whose lists are short (the rule is
+in `joins`), gets every list, joined once, and no buckets.  A node without
 buckets filters: each assignment filters every remaining vertex's list by
 its distance to the new word, as below the anchors.  Both routes give the
 same sorted lists, so the tree does not depend on the route.  Vertices
@@ -103,7 +113,7 @@ from .graphs import (Graph, automorphism_generators, bfs_distances, orbit_and_st
                      parse_graph6)
 from .spectral import lower_bound
 
-STEP_TABLE_WORDS = 1 << 16    # words whose lex-leader masks one shape keeps
+STEP_TABLE_WORDS = 1 << 16    # words each table of one shape keeps
 # The list length from which the filter runs in numpy: the first power of
 # two above the crossover timed with the list's conversion included, which
 # lies at 60-110 words at r = 2, below 80 at r = 3 and below 40 at r = 5.
@@ -258,6 +268,88 @@ def canonical_step(length, r):
     return (1 << ties) - 1 | fields, step
 
 
+def _enumerate_half(singles):
+    """All packed words holding at most one of each position's
+    single-symbol words, with * everywhere else."""
+    return [sum(combo) for combo in product(*([0] + s for s in singles))]
+
+
+class _Shape:
+    """What every search at one word shape (length, r) shares: the filter,
+    the root buckets and root words, the half-word care masks, a packed word
+    -> string table for witnesses and a memo of anchor splits.  Nothing here
+    depends on a graph, and nothing handed out is ever mutated, so searches
+    of different graphs share it safely."""
+
+    def __init__(self, length, r):
+        self.length, self.r = length, r
+        self.at = distance_filter(length, r)
+        # single[p][d]: the word with digit d at position p and * elsewhere
+        single = [
+            [pack_word(STAR * p + str(d) + STAR * (length - 1 - p), r) for d in range(r)]
+            for p in range(length)
+        ]
+        # roots[wt]: the lex-leader's first row of weight wt, 0^wt *^(length-wt)
+        self.roots = [sum(s[0] for s in single[:wt]) for wt in range(length + 1)]
+        care = (1 << length) - 1
+        self.half_care = ((1 << length // 2) - 1, care >> length // 2 << length // 2)
+        # A half-word's key packs its distances to the anchor words placed so
+        # far, anchor i's in the field at bit i * width.
+        self.width = (2 * length + 1).bit_length()
+        # Anchor buckets are (low, high, path): path holds, per anchor word
+        # placed so far, (word, low top, high top), which fixes the buckets.
+        self.root = ({0: _enumerate_half(single[: length // 2])},
+                     {0: _enumerate_half(single[length // 2:])}, ())
+        self.splits = {}         # child path -> its (low, high, path)
+        self.split_words = 0     # the words the split memo holds
+        self.strings = {}        # packed word -> its string
+
+    def _split(self, buckets, w, top, shift):
+        """Each bucket split by its words' distance to w, up to top."""
+        at = self.at
+        out = {}
+        for key, words in buckets.items():
+            for t in range(top + 1):
+                part = at(words, w, t)
+                if part:
+                    out[key | t << shift] = part
+        return out
+
+    def split(self, halves, w, top):
+        """The anchor buckets below halves once the next anchor has word w:
+        each bucket split by its words' distance to w, up to top (less in a
+        half whose care bits in w are fewer), which extends its key by the
+        distance.  Memoised on the path; the memo stops taking splits once
+        it holds STEP_TABLE_WORDS words."""
+        lo, hi, path = halves
+        tops = (min(top, (w & self.half_care[0]).bit_count()),
+                min(top, (w & self.half_care[1]).bit_count()))
+        child = path + ((w,) + tops,)
+        out = self.splits.get(child)
+        if out is None:
+            shift = len(path) * self.width
+            out = (self._split(lo, w, tops[0], shift), self._split(hi, w, tops[1], shift), child)
+            words = sum(map(len, out[0].values())) + sum(map(len, out[1].values()))
+            if self.split_words + words <= STEP_TABLE_WORDS:
+                self.splits[child] = out
+                self.split_words += words
+        return out
+
+    def string(self, packed):
+        """unpack_word at this shape, memoised up to STEP_TABLE_WORDS words."""
+        word = self.strings.get(packed)
+        if word is None:
+            word = unpack_word(packed, self.length, self.r)
+            if len(self.strings) < STEP_TABLE_WORDS:
+                self.strings[packed] = word
+        return word
+
+
+@functools.lru_cache(maxsize=64)
+def _shape(length, r):
+    """The one _Shape of (length, r) per process."""
+    return _Shape(length, r)
+
 
 def _check_limits(r, node_limit):
     """Raise ValueError on a bad alphabet size or a negative node limit."""
@@ -312,12 +404,6 @@ class SolveResult:
 
 class _NodeLimit(Exception):
     pass
-
-
-def _enumerate_half(singles):
-    """All packed words holding at most one of each position's
-    single-symbol words, with * everywhere else."""
-    return [sum(combo) for combo in product(*([0] + s for s in singles))]
 
 
 class _Searcher:
@@ -385,28 +471,19 @@ class _Searcher:
 
         r = self.r
         care = (1 << length) - 1     # the care bits; their popcount is the weight
-        at = distance_filter(length, r)
+        shape = _shape(length, r)
+        at = shape.at
         start, step = canonical_step(length, r)
         dist = self.dist
         anchors = self.anchors
         nodes = 0
         limit = self.cfg.node_limit
 
-        # single[p][d]: the word with digit d at position p and * elsewhere
-        single = [
-            [pack_word(STAR * p + str(d) + STAR * (length - 1 - p), r) for d in range(r)]
-            for p in range(length)
-        ]
-        low = _enumerate_half(single[: length // 2])
-        high = _enumerate_half(single[length // 2:])
-        half_care = ((1 << length // 2) - 1, care >> length // 2 << length // 2)
-
-        # A half-word's key packs its distances to the anchor words placed so
-        # far, anchor i's in the field at bit i * width, so a low key plus a
-        # high key is the whole word's key.  A goal minus a low key that
-        # exceeds it in some field borrows, and the fields are wide enough
-        # that the borrowing field then exceeds any distance: no high key.
-        width = (2 * length + 1).bit_length()
+        # A low key plus a high key is the whole word's key (`_Shape`).  A
+        # goal minus a low key that exceeds it in some field borrows, and
+        # the fields are wide enough that the borrowing field then exceeds
+        # any distance: no high key.
+        width = shape.width
         last = len(anchors) - 1
         # goal[d][u]: the key of u's words once anchors 0..d-1 have theirs
         goal = [[0] * n]
@@ -426,16 +503,6 @@ class _Searcher:
                 max(map(dist[v].__getitem__, others), default=0),
                 {child[u] for u in others},
             ))
-
-        def split(buckets, w, top, shift):
-            """Each bucket split by its words' distance to w, up to top."""
-            out = {}
-            for key, words in buckets.items():
-                for t in range(top + 1):
-                    part = at(words, w, t)
-                    if part:
-                        out[key | t << shift] = part
-            return out
 
         def joined(lo, hi, g):
             """The sorted words of goal g: lo | hi over the pairs of buckets
@@ -474,19 +541,18 @@ class _Searcher:
             """The child's (lists, halves) once the anchor has cand; (None,
             None) if some vertex runs dry.
 
-            Every bucket is split by its words' distance to cand, which
-            extends its key by one entry.  A vertex's list joins the bucket
-            pairs whose keys add up to its goal, so it is empty exactly when
-            no pair does.  This is the one place the route is chosen: a
-            child that joins in turn gets only the next anchor's list and
-            the split buckets; a child of the last anchor, or one that
-            `joins` finds cheaper to filter, gets every list, one join per
-            distinct goal, and no buckets.
+            Every bucket is split by its words' distance to cand
+            (`_Shape.split`, shared by every search at the shape).  A
+            vertex's list joins the bucket pairs whose keys add up to its
+            goal, so it is empty exactly when no pair does.  This is the one
+            place the route is chosen: a child that joins in turn gets only
+            the next anchor's list and the split buckets; a child of the
+            last anchor, or one that `joins` finds cheaper to filter, gets
+            every list, one join per distinct goal, and no buckets.
             """
             others, top, goals = plan[depth]
-            shift = depth * width
-            lo = split(halves[0], cand, min(top, (cand & half_care[0]).bit_count()), shift)
-            hi = split(halves[1], cand, min(top, (cand & half_care[1]).bit_count()), shift)
+            below = shape.split(halves, cand, top)
+            lo, hi, _ = below
             if not all(any(g - k in hi for k in lo) for g in goals):
                 return None, None
             child = goal[depth + 1]
@@ -494,7 +560,7 @@ class _Searcher:
                 by_goal = {g: joined(lo, hi, g) for g in goals}
                 return {u: by_goal[child[u]] for u in others}, None
             nxt = anchors[depth + 1]
-            return {nxt: joined(lo, hi, child[nxt])}, (lo, hi)
+            return {nxt: joined(lo, hi, child[nxt])}, below
 
         def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
@@ -558,18 +624,15 @@ class _Searcher:
             return False
 
         v1 = anchors[0]
-        roots = [
-            sum(s[0] for s in single[:wt]) for wt in range(max(dist[v1]), length + 1)
-        ]
         try:
-            found = dfs({v1: roots}, ({0: low}, {0: high}), start, {}, 0, 0)
+            found = dfs({v1: shape.roots[max(dist[v1]):]}, shape.root, start, {}, 0, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 
         if not found:
             return SearchOutcome(False, None, nodes, True)
 
-        words = [unpack_word(witness[v], length, r) for v in range(n)]
+        words = [shape.string(witness[v]) for v in range(n)]
         adr = check_addressing(self.dist, Addressing(r, length, words), "search witness")
         return SearchOutcome(True, adr, nodes, True)
 

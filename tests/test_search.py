@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -425,8 +426,12 @@ def test_census_counts_every_other_graph_past_a_self_check_failure(monkeypatch, 
 def test_the_self_check_does_not_trust_the_filter_it_checks(monkeypatch):
     # A filter that keeps every word lets the search assign garbage; the
     # witness check must catch it, since it shares no code with the filter.
+    # The shapes get a fresh cache for the test, so that the search builds
+    # them with the garbage filter and no shape built with it outlives it.
     keep_all = lambda length, r: lambda words, w, t: list(words)
     monkeypatch.setattr(squashcube.search, "distance_filter", keep_all)
+    monkeypatch.setattr(squashcube.search, "_shape",
+                        functools.lru_cache(maxsize=64)(squashcube.search._Shape))
     with pytest.raises(SelfCheckError, match="search witness fails verification"):
         solve_N(SearchConfig(graph=petersen_graph(), r=2))
 
@@ -470,6 +475,35 @@ def test_order_7_census_total_nodes_are_pinned():
         nodes += res.nodes_explored
     assert nodes == 47_195
     assert row == {1: 316, 2: 498, 3: 38, 4: 1}
+
+
+def _census_runs(graphs, before_each=lambda: None):
+    """(N_2, nodes, witness words) of each graph, solved in turn."""
+    runs = []
+    for g in graphs:
+        before_each()
+        res = solve_N(SearchConfig(graph=g, r=2))
+        runs.append((res.value, res.nodes_explored, res.addressing.words))
+    return runs
+
+
+def test_shape_memo_hits_and_misses_give_the_same_searches(monkeypatch):
+    # Shapes built afresh for every graph, shapes kept warm across the
+    # graphs, and shapes whose split memo takes at most two words, so that
+    # almost every split is made afresh: all three must agree.
+    shape = squashcube.search._shape
+    graphs = connected_graphs(6)
+    fresh = _census_runs(graphs, shape.cache_clear)
+    warm = _census_runs(graphs)
+    assert sum(shape(length, 2).split_words for length in range(3, 6)) > 2
+    shape.cache_clear()
+    monkeypatch.setattr(squashcube.search, "STEP_TABLE_WORDS", 2)
+    capped = _census_runs(graphs)
+    assert all(shape(length, 2).split_words <= 2 for length in range(3, 6))
+    shape.cache_clear()
+    assert fresh == warm == capped
+    row = [6 - value for value, _, _ in fresh]
+    assert [row.count(d) for d in (1, 2, 3)] == [67, 42, 3]       # the order-6 census row
 
 
 def test_census_n2():
