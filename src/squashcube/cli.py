@@ -49,15 +49,11 @@ EXIT_INTERNAL = 3
 EXIT_PRECONDITION = 4
 
 
-class SpecError(ValueError):
-    pass
-
-
 def parse_graph_spec(tokens):
     """Graph mini-language: johnson N K | cycle N | complete N |
     multipartite A,B,C | kam A M | petersen | graph6:FILE:LINE."""
     if not tokens:
-        raise SpecError("empty graph spec")
+        raise ValueError("empty graph spec")
     head, args = tokens[0], tokens[1:]
     try:
         if head == "johnson" and len(args) == 2:
@@ -78,11 +74,11 @@ def parse_graph_spec(tokens):
                 lines = fh.read().splitlines()
             idx = int(lineno) - 1
             if not 0 <= idx < len(lines):
-                raise SpecError(f"{path} has no line {lineno}")
+                raise ValueError(f"{path} has no line {lineno}")
             return parse_graph6(lines[idx])
     except (ValueError, OSError) as exc:
-        raise SpecError(f"bad graph spec {' '.join(tokens)!r}: {exc}") from exc
-    raise SpecError(f"unrecognized graph spec {' '.join(tokens)!r}")
+        raise ValueError(f"bad graph spec {' '.join(tokens)!r}: {exc}") from exc
+    raise ValueError(f"unrecognized graph spec {' '.join(tokens)!r}")
 
 
 def _emit_addressing(adr, out):
@@ -121,7 +117,7 @@ def cmd_address(args):
         base = _load_base(args.base)
         adr = plus_three(base, sizes, args.grow_class, args.vertex)
         return _emit_addressing(adr, args.output)
-    raise SpecError(f"unknown family {args.family}")
+    raise ValueError(f"unknown family {args.family}")
 
 
 def cmd_verify(args):
@@ -273,7 +269,7 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    # SpecError is a ValueError; CapabilityError is an input beyond a cap
+    # a bad graph spec is a ValueError; CapabilityError is an input beyond a cap
     except (ValueError, OSError, KeyError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

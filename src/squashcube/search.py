@@ -15,11 +15,11 @@ State lives at three levels.  Per word shape (L, r), built once per process
 and shared by every graph searched at that shape: `canonical_step`, the
 row-by-row lex-leader test with its word table, and `_shape`, which holds
 the filter `distance_filter` gives, the root words and root half-word
-buckets, a packed word -> string table for witnesses and a memo of anchor
-splits.  Per graph (`_Searcher`): the distances, the anchors, the
-stabilizer and orbit memos, and per length the goals and plan of `run`.
-Per node: the candidate lists, the anchor buckets, the lex-leader state and
-the weight floors, each handed down new and never mutated.
+buckets and a memo of anchor splits.  Per graph (`_Searcher`): the
+distances, the anchors, the stabilizer and orbit memos, and per length the
+goals and plan of `run`.  Per node: the candidate lists, the anchor
+buckets, the lex-leader state and the weight floors, each handed down new
+and never mutated.
 
 Two prunings keep the tree small, both sound and neither affecting the
 verdict:
@@ -82,20 +82,17 @@ one entry, and a vertex's list is the sorted union of lo | hi over the
 bucket pairs whose keys add up to its target vector (a meet-in-the-middle
 join).  A split depends only on the anchor words placed so far and on the
 largest distance each was split up to, so the shape memoises it for every
-graph.  The root is the empty vector: one bucket per half, and the root
-always joins.  A vertex whose bucket pairs are all empty ends the node.
-The parent picks its child's route once, where it splits the buckets: a
-child that joins gets only the next anchor's list and the split buckets,
-while a child of the last anchor, or one whose lists are short (the rule is
-in `joins`), gets every list, joined once, and no buckets.  A node without
-buckets filters: each assignment filters every remaining vertex's list by
-its distance to the new word, as below the anchors.  Both routes give the
-same sorted lists, so the tree does not depend on the route.  Vertices
-that need the same distances share one list, which is safe because lists
-are never mutated, only filtered into new ones.  The vertex with the
-fewest candidates is assigned next.  Every witness is re-verified before
-it is returned, through the coverage matrix of its partition, which shares
-no code with the filter.
+graph.  The root is the empty vector: one bucket per half.  Anchor nodes
+join, nodes below the anchors filter: an anchor node holds only its own
+list and the buckets, a vertex whose bucket pairs are all empty ends the
+node, and the children of the last anchor get every list, joined once, and
+no buckets.  Below the anchors each assignment filters every remaining
+vertex's list by its distance to the new word.  Both routes give the same
+sorted lists.  Vertices that need the same distances share one list, which
+is safe because lists are never mutated, only filtered into new ones.  The
+vertex with the fewest candidates is assigned next.  Every witness is
+re-verified before it is returned, through the coverage matrix of its
+partition, which shares no code with the filter.
 """
 
 import functools
@@ -276,13 +273,11 @@ def _enumerate_half(singles):
 
 class _Shape:
     """What every search at one word shape (length, r) shares: the filter,
-    the root buckets and root words, the half-word care masks, a packed word
-    -> string table for witnesses and a memo of anchor splits.  Nothing here
-    depends on a graph, and nothing handed out is ever mutated, so searches
-    of different graphs share it safely."""
+    the root buckets and root words, the half-word care masks and a memo of
+    anchor splits.  Nothing here depends on a graph, and nothing handed out
+    is ever mutated, so searches of different graphs share it safely."""
 
     def __init__(self, length, r):
-        self.length, self.r = length, r
         self.at = distance_filter(length, r)
         # single[p][d]: the word with digit d at position p and * elsewhere
         single = [
@@ -302,7 +297,6 @@ class _Shape:
                      {0: _enumerate_half(single[length // 2:])}, ())
         self.splits = {}         # child path -> its (low, high, path)
         self.split_words = 0     # the words the split memo holds
-        self.strings = {}        # packed word -> its string
 
     def _split(self, buckets, w, top, shift):
         """Each bucket split by its words' distance to w, up to top."""
@@ -334,15 +328,6 @@ class _Shape:
                 self.splits[child] = out
                 self.split_words += words
         return out
-
-    def string(self, packed):
-        """unpack_word at this shape, memoised up to STEP_TABLE_WORDS words."""
-        word = self.strings.get(packed)
-        if word is None:
-            word = unpack_word(packed, self.length, self.r)
-            if len(self.strings) < STEP_TABLE_WORDS:
-                self.strings[packed] = word
-        return word
 
 
 @functools.lru_cache(maxsize=64)
@@ -509,34 +494,6 @@ class _Searcher:
             whose keys add up to g."""
             return sorted([a | b for k in lo if g - k in hi for b in hi[g - k] for a in lo[k]])
 
-        def joins(lo, hi, depth):
-            """Whether the anchor node at depth, whose buckets are lo and hi,
-            costs less to expand by joining than by filtering.  Its parent
-            asks, in `join_children`, and builds the node for the answer.
-
-            Both routes spend their time in passes of the filter `at`:
-            filtering makes one pass per distinct list and distance, over
-            the list's words (a list's size is the sum of |lo bucket| *
-            |hi bucket| over its bucket pairs, so no list is built to count
-            it); the join makes one pass per bucket and distance up to top,
-            over the bucket's words, in each half.  A pass costs about eight
-            word tests on top of its words (a call, a loop step and a store:
-            about 0.75 us against 0.1 us per word tested with CPython 3.11,
-            r = 2), so the join runs where its passes cost less.  Short
-            lists split into buckets of a few words each, so they keep the
-            filter; long lists are cheaper to join at every anchor depth.
-            """
-            _, top, goals = plan[depth]
-            words = sum(map(len, lo.values())) + sum(map(len, hi.values()))
-            splitting = (top + 1) * (8 * (len(lo) + len(hi)) + words)
-            mask = (1 << depth * width) - 1      # a child goal's parent goal
-            filtering = 0
-            for g in goals:
-                g &= mask
-                filtering += 8 + sum([len(a) * len(hi[g - k]) for k, a in lo.items()
-                                      if g - k in hi])
-            return filtering > splitting
-
         def join_children(cand, halves, depth):
             """The child's (lists, halves) once the anchor has cand; (None,
             None) if some vertex runs dry.
@@ -544,11 +501,10 @@ class _Searcher:
             Every bucket is split by its words' distance to cand
             (`_Shape.split`, shared by every search at the shape).  A
             vertex's list joins the bucket pairs whose keys add up to its
-            goal, so it is empty exactly when no pair does.  This is the one
-            place the route is chosen: a child that joins in turn gets only
-            the next anchor's list and the split buckets; a child of the
-            last anchor, or one that `joins` finds cheaper to filter, gets
-            every list, one join per distinct goal, and no buckets.
+            goal, so it is empty exactly when no pair does.  A child anchor
+            gets only its own list and the split buckets; a child of the
+            last anchor gets every list, one join per distinct goal, and no
+            buckets.
             """
             others, top, goals = plan[depth]
             below = shape.split(halves, cand, top)
@@ -556,7 +512,7 @@ class _Searcher:
             if not all(any(g - k in hi for k in lo) for g in goals):
                 return None, None
             child = goal[depth + 1]
-            if depth == last or not joins(lo, hi, depth + 1):
+            if depth == last:
                 by_goal = {g: joined(lo, hi, g) for g in goals}
                 return {u: by_goal[child[u]] for u in others}, None
             nxt = anchors[depth + 1]
@@ -565,9 +521,8 @@ class _Searcher:
         def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
 
-            This is the route of every node that holds no buckets: below
-            the anchors, and at an anchor whose parent built every list
-            (`join_children`).  Vertices that hold the same list at the same
+            This is the route of every node below the anchors, which holds
+            no buckets.  Vertices that hold the same list at the same
             distance from v get one filtered copy.  Sharing is safe because
             lists are only ever filtered into new ones, never mutated, and
             keying on id() is safe because `lists` keeps every list alive
@@ -595,7 +550,7 @@ class _Searcher:
             nonlocal nodes
             if not lists:
                 return True
-            v = anchors[depth] if depth <= last else min(lists, key=lambda u: (len(lists[u]), u))
+            v = min(lists, key=lambda u: (len(lists[u]), u))
             floor = floors.get(v, 0)
             members = self.rest_of_orbit(placed, v)
             placed |= 1 << v
@@ -632,7 +587,7 @@ class _Searcher:
         if not found:
             return SearchOutcome(False, None, nodes, True)
 
-        words = [shape.string(witness[v]) for v in range(n)]
+        words = [unpack_word(witness[v], length, r) for v in range(n)]
         adr = check_addressing(self.dist, Addressing(r, length, words), "search witness")
         return SearchOutcome(True, adr, nodes, True)
 

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to watch the lines).
 The opt-in longer cases (N_3(C_11), N_2(J(6,3)) = 8, N_2(J(6,2)) = 8,
-N_3(K_{3,3,3,3}) = 7 and the order-5 brute-force sweep at r = 4) are gated on
-SQUASHCUBE_OPT_IN_TESTS=1.
+N_3(K_{3,3,3,3}) = 7, N_4 and N_5 of C_17 and C_19 and the order-5
+brute-force sweep at r = 4) are gated on SQUASHCUBE_OPT_IN_TESTS=1.
 """
 
 import itertools
@@ -186,6 +186,21 @@ def test_criterion_5_opt_in_k3333_r3():
         and verify_addressing(bfs_distances(g), res.addressing) == []
     )
     _report(5, ok, f"N_3(K_3,3,3,3) = 7 in {res.nodes_explored} nodes "
+                   f"({time.time() - start:.1f}s)")
+
+
+@opt_in
+def test_criterion_5_opt_in_c17_c19_larger_alphabets():
+    # N_4 and N_5 of C_17 and C_19, each witness verified.
+    start = time.time()
+    found = {}
+    for n, r in itertools.product((17, 19), (4, 5)):
+        g = cycle_graph(n)
+        res = solve_N(SearchConfig(graph=g, r=r))
+        assert verify_addressing(bfs_distances(g), res.addressing) == []
+        found[n, r] = res.value if res.exhausted else None
+    ok = found == {(17, 4): 10, (17, 5): 9, (19, 4): 11, (19, 5): 10}
+    _report(5, ok, f"N_4, N_5 of C_17 and C_19 = {sorted(found.items())} "
                    f"({time.time() - start:.1f}s)")
 
 

@@ -319,6 +319,34 @@ def test_odd_cycles_at_r3_keep_their_node_counts_and_witnesses():
         assert verify_addressing(bfs_distances(g), res.addressing) == []
 
 
+LARGER_ALPHABET_PINS = [
+    # (graph, {r: (N_r, nodes)}): the paper's odd cycles and complete
+    # multipartite graphs over alphabets of four and five symbols
+    *[(cycle_graph(n), {4: (value, n4), 5: (value, n5)})
+      for n, value, n4, n5 in [(5, 3, 27, 36), (7, 4, 56, 96), (9, 5, 122, 301),
+                               (11, 6, 299, 1_085), (13, 7, 801, 4_174),
+                               (15, 8, 2_419, 16_486)]],
+    (complete_multipartite([3, 3, 3]), {3: (5, 3_925), 4: (4, 366)}),
+    (complete_multipartite([4, 4, 1]), {3: (6, 23_551), 4: (5, 3_540)}),
+    (complete_multipartite([4, 3, 2]), {3: (5, 1_812), 4: (4, 420)}),
+    (complete_multipartite([2, 2, 2, 2]), {3: (4, 186), 4: (3, 32)}),
+    (complete_multipartite([3, 3, 3, 3]), {4: (6, 193_000)}),
+]
+
+
+@pytest.mark.parametrize("graph,pins", LARGER_ALPHABET_PINS)
+def test_larger_alphabet_values_and_node_counts_are_pinned(graph, pins):
+    dist = bfs_distances(graph)
+    values = []
+    for r, (value, nodes) in sorted(pins.items()):
+        res = solve_N(SearchConfig(graph=graph, r=r))
+        assert (res.value, res.exhausted, res.nodes_explored) == (value, True, nodes), r
+        assert verify_addressing(dist, res.addressing) == []
+        assert lower_bound(dist, r).best <= value
+        values.append(value)
+    assert values == sorted(values, reverse=True)     # N_{r+1} <= N_r
+
+
 MULTIPARTITE_PINS = [
     # (class sizes, r, N_r, nodes): the weight floors engage at every depth
     ([3, 3, 3], 2, 7, 25_151),
@@ -466,8 +494,8 @@ def test_census_small_orders():
 
 
 def test_order_7_census_total_nodes_are_pinned():
-    # The order-7 graphs are the ones whose anchor nodes filter most often
-    # instead of joining; both routes give the same lists, so the total holds.
+    # Thousands of small trees, each anchor node joining its list from the
+    # split memo that the graphs share at each word shape.
     row, nodes = {}, 0
     for g in connected_graphs(7):
         res = solve_N(SearchConfig(graph=g, r=2))
