@@ -244,6 +244,40 @@ def test_bfs_matches_independent_bfs():
         assert d.tolist() == simple_bfs_all_pairs(n, edges), (n, len(edges))
 
 
+def test_bfs_bodies_agree(monkeypatch):
+    """The per-source and the bitset body give the same int32 matrix, or
+    the same (0, smallest unreachable vertex) pair on disconnected input."""
+
+    def both(g):
+        out = []
+        for start in (MAX_VERTICES + 1, 1):        # per-source body, then bitset body
+            monkeypatch.setattr(graphs_module, "BITSET_FROM", start)
+            try:
+                d = bfs_distances(g)
+            except DisconnectedGraphError as exc:
+                out.append(exc.pair)
+            else:
+                assert d.dtype == np.int32
+                out.append(d.tolist())
+        return out
+
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs += [random_graph(n, [s, n]) for n in (31, 32, 33, 63, 64, 65, 127, 128, 129)
+               for s in (0, 9001)]
+    graphs += [path_graph(n) for n in (2, 3, 31, 64, 65, 130)]
+    graphs += [cycle_graph(n) for n in (3, 4, 31, 64, 65, 130)]
+    for g in graphs:
+        per_source, bitset = both(g)
+        assert per_source == bitset == simple_bfs_all_pairs(g.n, g.edges), g
+    disconnected = [
+        (Graph(40), 1),
+        (Graph(60, [(i, i + 2) for i in range(58)]), 1),             # even and odd vertices
+        (Graph(70, [(i, i + 1) for i in range(69) if i != 40]), 41),
+    ]
+    for g, missing in disconnected:
+        assert both(g) == [(0, missing), (0, missing)], g
+
+
 def test_is_connected_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(7)

@@ -98,6 +98,14 @@ def test_addressing_valid_small():
             assert verify_addressing(d, johnson_addressing(n, k, order="by-y")) == []
 
 
+def test_bfs_distances_are_k_minus_the_common_elements():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            subsets = [set(s) for s in johnson_subsets(n, k)]
+            expected = [[k - len(a & b) for b in subsets] for a in subsets]
+            assert bfs_distances(johnson_graph(n, k)).tolist() == expected, (n, k)
+
+
 def test_union_graph_components():
     n, k = 6, 3
     subsets = johnson_subsets(n, k)
