@@ -108,21 +108,20 @@ def johnson_subsets(n, k):
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
-    subsets = [tuple(sorted(s)) for s in combinations(range(1, n + 1), k)]
-    subsets.sort(key=lambda s: tuple(reversed(s)))
-    return subsets
+    return sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
 
 
 def johnson_graph(n, k):
-    """Johnson graph J(n,k): k-subsets of {1..n}, adjacent iff they share k-1 elements."""
-    subsets = johnson_subsets(n, k)
-    sets = [frozenset(s) for s in subsets]
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(sets)), 2)
-        if len(sets[i] & sets[j]) == k - 1
-    ]
-    return Graph(len(sets), edges)
+    """Johnson graph J(n,k): k-subsets of {1..n}, adjacent iff they share k-1 elements.
+
+    Each subset reaches its k(n-k) neighbours by swapping one element out
+    and one in, looked up by bitmask."""
+    masks = [sum(1 << x for x in s) for s in johnson_subsets(n, k)]
+    index = {m: i for i, m in enumerate(masks)}
+    ground = (1 << n + 1) - 2                  # bits 1..n
+    edges = [(i, j) for i, m in enumerate(masks) for x in set_bits(m)
+             for y in set_bits(ground & ~m) if (j := index[m ^ (1 << x | 1 << y)]) > i]
+    return Graph(len(masks), edges)
 
 
 def complete_multipartite(class_sizes):

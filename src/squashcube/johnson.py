@@ -157,13 +157,9 @@ def union_graph_h(s, t, n, k):
 
 def good_pairs(s, t, n, k):
     """Coordinates where the two addresses show {0, 1}, via the symbol rule."""
-    out = set()
-    for x in range(k + 1, n + 1):
-        for y in range(1, k + 1):
-            symbols = {symbol_rule(s, x, y, n, k), symbol_rule(t, x, y, n, k)}
-            if symbols == {"0", "1"}:
-                out.add((x, y))
-    return out
+    coords = johnson_coordinates(n, k)
+    pairs = zip(coords, _symbols(s, coords, n, k), _symbols(t, coords, n, k))
+    return {xy for xy, a, b in pairs if {a, b} == {"0", "1"}}
 
 
 def good_pairs_characterized(s, t, n, k):

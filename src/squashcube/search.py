@@ -12,10 +12,10 @@ add up to the word that carries both (the half-words and the root words are
 built as such sums).
 
 State lives at three levels.  Per word shape (L, r), built once per process
-and shared by every graph searched at that shape: `canonical_step`, the
-row-by-row lex-leader test with its word table, and `_shape`, which holds
-the filter `distance_filter` gives, the root words and root half-word
-buckets and a memo of anchor splits.  Per graph (`_Searcher`): the
+and shared by every graph searched at that shape: `_shape`, which holds the
+filter `distance_filter` gives, the row-by-row lex-leader test
+`canonical_step` gives with its word table, the root words and root
+half-word buckets and a memo of anchor splits.  Per graph (`_Searcher`): the
 distances, the anchors, the stabilizer and orbit memos, and per length the
 goals and plan of `run`.  Per node: the candidate lists, the anchor
 buckets, the lex-leader state and the weight floors, each handed down new
@@ -77,16 +77,16 @@ three) anchors get their words, a list is the set of all words at given
 distances from the anchor words placed so far, so it can be built without
 the full symbol space: the low and the high half-words sit in buckets keyed
 by their vector of distances to those words, a new anchor word splits every
-bucket by distance (one filter pass per distance), which extends the key by
-one entry, and a vertex's list is the sorted union of lo | hi over the
-bucket pairs whose keys add up to its target vector (a meet-in-the-middle
-join).  A split depends only on the anchor words placed so far and on the
-largest distance each was split up to, so the shape memoises it for every
-graph.  The root is the empty vector: one bucket per half.  Anchor nodes
-join, nodes below the anchors filter: an anchor node holds only its own
-list and the buckets, a vertex whose bucket pairs are all empty ends the
-node, and the children of the last anchor get every list, joined once, and
-no buckets.  Below the anchors each assignment filters every remaining
+bucket by distance (one filter pass per distance, up to the most a half-word
+can differ from it), which extends the key by one entry, and a vertex's
+list is the sorted union of lo | hi over the bucket pairs whose keys add up
+to its target vector (a meet-in-the-middle join).  A split depends only on
+the anchor words placed so far, so the shape memoises it for every graph.
+The root is the empty vector: one bucket per half.  Anchor nodes join,
+nodes below the anchors filter: an anchor node holds only its own list and
+the buckets, a vertex whose bucket pairs are all empty ends the node, and
+the children of the last anchor get every list, joined once, and no
+buckets.  Below the anchors each assignment filters every remaining
 vertex's list by its distance to the new word.  Both routes give the same
 sorted lists.  Vertices that need the same distances share one list, which
 is safe because lists are never mutated, only filtered into new ones.  The
@@ -204,7 +204,6 @@ def distance_filter(length, r):
     return at
 
 
-@functools.lru_cache(maxsize=64)
 def canonical_step(length, r):
     """The lex-leader test (start, step) on rows of packed words of one
     shape, for the canonical order that the module docstring defines.
@@ -223,10 +222,11 @@ def canonical_step(length, r):
     Both masks depend on w alone.  The search steps through the same words
     many times, so each shape keeps one table from word to (bad, keep),
     filled on a word's first step; past STEP_TABLE_WORDS words, new words
-    get their masks afresh on every step.  canonical_step is memoised per
-    shape, so all searches at one shape share its table.  step(state, w)
-    is the state after row w, or None if w breaks the order; start is the
-    state of no rows.  Every prefix of canonical rows is canonical.
+    get their masks afresh on every step.  Each call makes a new table, and
+    `_shape` makes one call per shape, so all searches at one shape share
+    its table.  step(state, w) is the state after row w, or None if w
+    breaks the order; start is the state of no rows.  Every prefix of
+    canonical rows is canonical.
     """
     care = (1 << length) - 1
     shifts = [p * length for p in range(1, (r - 1).bit_length() + 1)]
@@ -273,12 +273,14 @@ def _enumerate_half(singles):
 
 class _Shape:
     """What every search at one word shape (length, r) shares: the filter,
-    the root buckets and root words, the half-word care masks and a memo of
-    anchor splits.  Nothing here depends on a graph, and nothing handed out
-    is ever mutated, so searches of different graphs share it safely."""
+    the lex-leader test, the root buckets and root words, the half-word care
+    masks and a memo of anchor splits.  Nothing here depends on a graph, and
+    nothing handed out is ever mutated, so searches of different graphs
+    share it safely."""
 
     def __init__(self, length, r):
         self.at = distance_filter(length, r)
+        self.start, self.step = canonical_step(length, r)
         # single[p][d]: the word with digit d at position p and * elsewhere
         single = [
             [pack_word(STAR * p + str(d) + STAR * (length - 1 - p), r) for d in range(r)]
@@ -291,39 +293,34 @@ class _Shape:
         # A half-word's key packs its distances to the anchor words placed so
         # far, anchor i's in the field at bit i * width.
         self.width = (2 * length + 1).bit_length()
-        # Anchor buckets are (low, high, path): path holds, per anchor word
-        # placed so far, (word, low top, high top), which fixes the buckets.
+        # Anchor buckets are (low, high, path): path holds the anchor words
+        # placed so far, which fix the buckets.
         self.root = ({0: _enumerate_half(single[: length // 2])},
                      {0: _enumerate_half(single[length // 2:])}, ())
         self.splits = {}         # child path -> its (low, high, path)
         self.split_words = 0     # the words the split memo holds
 
-    def _split(self, buckets, w, top, shift):
-        """Each bucket split by its words' distance to w, up to top."""
-        at = self.at
-        out = {}
-        for key, words in buckets.items():
-            for t in range(top + 1):
-                part = at(words, w, t)
-                if part:
-                    out[key | t << shift] = part
-        return out
-
-    def split(self, halves, w, top):
+    def split(self, halves, w):
         """The anchor buckets below halves once the next anchor has word w:
-        each bucket split by its words' distance to w, up to top (less in a
-        half whose care bits in w are fewer), which extends its key by the
-        distance.  Memoised on the path; the memo stops taking splits once
-        it holds STEP_TABLE_WORDS words."""
-        lo, hi, path = halves
-        tops = (min(top, (w & self.half_care[0]).bit_count()),
-                min(top, (w & self.half_care[1]).bit_count()))
-        child = path + ((w,) + tops,)
+        each bucket split by its words' distance to w, from 0 up to the care
+        bits w has in the half, which extends its key by the distance.  Every
+        word lands in exactly one child, so the split depends on the anchor
+        words alone; parts at distances beyond a graph's are never joined
+        (`_Searcher.run`).  Memoised on the path; the memo stops taking
+        splits once it holds STEP_TABLE_WORDS words."""
+        path = halves[2]
+        child = path + (w,)
         out = self.splits.get(child)
         if out is None:
             shift = len(path) * self.width
-            out = (self._split(lo, w, tops[0], shift), self._split(hi, w, tops[1], shift), child)
-            words = sum(map(len, out[0].values())) + sum(map(len, out[1].values()))
+            out = tuple(
+                {key | t << shift: part
+                 for key, words in buckets.items()
+                 for t in range((w & care).bit_count() + 1)
+                 if (part := self.at(words, w, t))}
+                for buckets, care in zip(halves, self.half_care)
+            ) + (child,)
+            words = sum(len(part) for half in out[:2] for part in half.values())
             if self.split_words + words <= STEP_TABLE_WORDS:
                 self.splits[child] = out
                 self.split_words += words
@@ -457,8 +454,7 @@ class _Searcher:
         r = self.r
         care = (1 << length) - 1     # the care bits; their popcount is the weight
         shape = _shape(length, r)
-        at = shape.at
-        start, step = canonical_step(length, r)
+        at, step = shape.at, shape.step
         dist = self.dist
         anchors = self.anchors
         nodes = 0
@@ -467,7 +463,8 @@ class _Searcher:
         # A low key plus a high key is the whole word's key (`_Shape`).  A
         # goal minus a low key that exceeds it in some field borrows, and
         # the fields are wide enough that the borrowing field then exceeds
-        # any distance: no high key.
+        # any distance: no high key.  So the parts of a split at distances
+        # beyond the graph's are never joined.
         width = shape.width
         last = len(anchors) - 1
         # goal[d][u]: the key of u's words once anchors 0..d-1 have theirs
@@ -476,18 +473,13 @@ class _Searcher:
             shift = i * width
             goal.append([g | x << shift for g, x in zip(goal[-1], dist[a])])
         # plan[d]: for the node that gives anchor d its word, the vertices
-        # still without one after it, their largest distance to the anchor
-        # and the goals of their lists in the child.
+        # still without one after it and the goals of their lists in the
+        # child.
         rest = [u for u in range(n) if u not in anchors]
         plan = []
-        for d, v in enumerate(anchors):
+        for d in range(len(anchors)):
             others = anchors[d + 1:] + rest
-            child = goal[d + 1]
-            plan.append((
-                others,
-                max(map(dist[v].__getitem__, others), default=0),
-                {child[u] for u in others},
-            ))
+            plan.append((others, {goal[d + 1][u] for u in others}))
 
         def joined(lo, hi, g):
             """The sorted words of goal g: lo | hi over the pairs of buckets
@@ -506,8 +498,8 @@ class _Searcher:
             last anchor gets every list, one join per distinct goal, and no
             buckets.
             """
-            others, top, goals = plan[depth]
-            below = shape.split(halves, cand, top)
+            others, goals = plan[depth]
+            below = shape.split(halves, cand)
             lo, hi, _ = below
             if not all(any(g - k in hi for k in lo) for g in goals):
                 return None, None
@@ -580,7 +572,7 @@ class _Searcher:
 
         v1 = anchors[0]
         try:
-            found = dfs({v1: shape.roots[max(dist[v1]):]}, shape.root, start, {}, 0, 0)
+            found = dfs({v1: shape.roots[max(dist[v1]):]}, shape.root, shape.start, {}, 0, 0)
         except _NodeLimit:
             return SearchOutcome(False, None, nodes, False)
 

@@ -184,31 +184,37 @@ def _walk_random_prefixes(r, step_of):
     return walks
 
 
+def _shape_step(length, r):
+    """The lex-leader test (start, step) of the process-wide shape."""
+    shape = search._shape(length, r)
+    return shape.start, shape.step
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 10])
 def test_canonical_step_table_hits_and_misses_give_the_same_states(r, monkeypatch):
     # The first walk fills each shape's word table, the second reads every
     # word from it, and a third, from a test whose table keeps two words,
     # gets almost every word's masks afresh.  All three must agree.
-    canonical_step.cache_clear()
-    cold = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
-    warm = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
+    search._shape.cache_clear()
+    cold = _walk_random_prefixes(r, lambda length: _shape_step(length, r))
+    warm = _walk_random_prefixes(r, lambda length: _shape_step(length, r))
     monkeypatch.setattr(search, "STEP_TABLE_WORDS", 2)
-    capped = _walk_random_prefixes(r, lambda length: canonical_step.__wrapped__(length, r))
+    capped = _walk_random_prefixes(r, lambda length: canonical_step(length, r))
     assert cold == warm == capped
     assert sum(new is not None for trail in cold for _, new in trail) > 1000
 
 
 def test_canonical_step_keeps_one_table_per_shape():
     # An int that is a word of both shapes (length 4, r 2) and (length 2,
-    # r 4) must be stepped by each shape's own masks.  Both tables start
-    # empty and fill in turn, so a shared table would hand one shape the
-    # other's masks.
+    # r 4) must be stepped by each shape's own masks, as `_shape` holds
+    # them.  Both tables start empty and fill in turn, so a shared table
+    # would hand one shape the other's masks.
     shapes = [(4, 2), (2, 4)]
     both = [x for x in range(1 << 8)
             if all(pack_word(unpack_word(x, *shape), shape[1]) == x for shape in shapes)]
     assert len(both) >= 10
-    canonical_step.cache_clear()
-    steps = {shape: canonical_step(*shape) for shape in shapes}
+    search._shape.cache_clear()
+    steps = {shape: _shape_step(*shape) for shape in shapes}
     rng = random.Random(5)
     differ = 0
     for _ in range(300):
@@ -443,6 +449,17 @@ def test_text_format_errors():
         parse_addressing("r=2 len=2 n=2\n0\t00\n")          # missing word
     with pytest.raises(ValueError):
         parse_addressing("r=2 len=2 n=1\n0\t00\n0\t01\n")   # repeated vertex
+
+
+@pytest.mark.parametrize("text", [
+    "r=\u0662 len=1 n=2\n\u0660\t0\n1\t1\n",      # Arabic-Indic digits
+    "r=2 len=1 n=2\n 0\t0\n1\t1\n",                # a space before the id
+    "r=2 len=1 n=2\n+1\t0\n0\t1\n",                # a sign on the id
+])
+def test_text_format_takes_only_ascii_decimal_numbers(text):
+    # int() alone reads each of these; the error must name the number
+    with pytest.raises(ValueError, match="not a decimal number"):
+        parse_addressing(text)
 
 
 def test_json_mirror():

@@ -103,6 +103,22 @@ def test_johnson_n6_k3_diameter_via_independent_bfs():
     assert bfs_distances(johnson_graph(6, 3)).max() == 3
 
 
+def test_johnson_edges_follow_the_intersection_rule():
+    # The builder swaps one element per neighbour; the rule here tests
+    # every pair: S and T are adjacent iff |S & T| = k - 1.
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            subsets = list(itertools.combinations(range(1, n + 1), k))
+            subsets.sort(key=lambda s: s[::-1])
+            edges = {
+                (i, j)
+                for i, j in itertools.combinations(range(len(subsets)), 2)
+                if len(set(subsets[i]) & set(subsets[j])) == k - 1
+            }
+            g = johnson_graph(n, k)
+            assert g.n == len(subsets) and set(g.edges) == edges, (n, k)
+
+
 def test_johnson_parameter_validation():
     with pytest.raises(ValueError):
         johnson_graph(4, 0)

@@ -1,12 +1,13 @@
 import functools
 import random
+from collections import Counter
 
 import pytest
 
 import squashcube.addressing
 import squashcube.graphs
 import squashcube.search
-from squashcube.addressing import verify_addressing
+from squashcube.addressing import verify_addressing, word_distance
 from squashcube.errors import SelfCheckError
 from squashcube.graphs import (
     Graph,
@@ -29,7 +30,9 @@ from squashcube.search import (
     SearchConfig,
     census_distribution,
     feasible_at_length,
+    pack_word,
     solve_N,
+    unpack_word,
 )
 from squashcube.spectral import lower_bound
 from oracles import brute_force_solve
@@ -532,6 +535,49 @@ def test_shape_memo_hits_and_misses_give_the_same_searches(monkeypatch):
     assert fresh == warm == capped
     row = [6 - value for value, _, _ in fresh]
     assert [row.count(d) for d in (1, 2, 3)] == [67, 42, 3]       # the order-6 census row
+
+
+@pytest.mark.parametrize("length, r", [(7, 2), (6, 3), (5, 4)])
+def test_anchor_split_buckets_each_word_by_its_distance(length, r):
+    # Up to three random anchor words in turn: each child bucket holds
+    # exactly its parent's words at its distance from the anchor word, in
+    # order, and every parent word lands in exactly one child.
+    rng = random.Random(10 * length + r)
+    shape = squashcube.search._Shape(length, r)
+    for _ in range(10):
+        halves = shape.root
+        for depth in range(3):
+            w = "".join(rng.choice("*" + "0123"[:r]) for _ in range(length))
+            lo, hi, path = shape.split(halves, pack_word(w, r))
+            assert path == halves[2] + (pack_word(w, r),)
+            shift = depth * shape.width
+            for parent, child in zip(halves[:2], (lo, hi)):
+                for key, words in child.items():
+                    near = parent[key & (1 << shift) - 1]
+                    assert words == [c for c in near
+                                     if word_distance(unpack_word(c, length, r), w)
+                                     == key >> shift]
+                landed = Counter(c for words in child.values() for c in words)
+                assert landed == Counter(c for words in parent.values() for c in words)
+            halves = lo, hi, path
+
+
+@pytest.mark.parametrize("g, r", [(petersen_graph(), 2), (cycle_graph(11), 3),
+                                  (cycle_graph(11), 4)])
+def test_anchor_splits_memoised_by_a_search_equal_fresh_ones(g, r, monkeypatch):
+    # The split memo is keyed on the anchor words alone, so what one
+    # graph's search leaves in it is what any fresh shape computes.
+    monkeypatch.setattr(squashcube.search, "_shape",
+                        functools.lru_cache(maxsize=64)(squashcube.search._Shape))
+    length = solve_N(SearchConfig(graph=g, r=r)).value
+    memo = squashcube.search._shape(length, r).splits
+    assert len(memo) >= 3
+    fresh = squashcube.search._Shape(length, r)
+    for path, split in memo.items():
+        halves = fresh.root
+        for w in path:
+            halves = fresh.split(halves, w)
+        assert halves == split
 
 
 def test_census_n2():
