@@ -15,9 +15,9 @@ State lives at three levels.  Per word shape (L, r), built once per process
 and shared by every graph searched at that shape: `_shape`, which holds the
 filter `distance_filter` gives, the row-by-row lex-leader test
 `canonical_step` gives with its word table, the root words and root
-half-word buckets and a memo of anchor splits.  Per graph (`_Searcher`): the
-distances, the anchors, the stabilizer and orbit memos, and per length the
-goals and plan of `run`.  Per node: the candidate lists, the anchor
+half-word buckets, the anchor join and a memo of anchor splits.  Per graph
+(`_Searcher`): the distances, the anchors, the stabilizer and orbit memos,
+and per length the goals and plan of `run`.  Per node: the candidate lists, the anchor
 buckets, the lex-leader state and the weight floors, each handed down new
 and never mutated.
 
@@ -69,18 +69,25 @@ tree below is the same for S and S after h, and the two symmetry groups act
 on different sides of the addressing, so they combine.
 
 One recursion does all the work, from the root down.  Every list goes
-through the one filter, built once per shape and process.  The filter has
-two bodies, chosen by the list's length: a short list takes one list
-comprehension, with no call per word, and a long one, where the packed
-words fit in 64 bits, one numpy pass over it as an array.  While the (up to
-three) anchors get their words, a list is the set of all words at given
-distances from the anchor words placed so far, so it can be built without
-the full symbol space: the low and the high half-words sit in buckets keyed
-by their vector of distances to those words, a new anchor word splits every
-bucket by distance (one filter pass per distance, up to the most a half-word
-can differ from it), which extends the key by one entry, and a vertex's
-list is the sorted union of lo | hi over the bucket pairs whose keys add up
-to its target vector (a meet-in-the-middle join).  A split depends only on
+through the one filter, built once per shape and process.  Length alone
+decides a list's representation, wherever a list is made (the root
+buckets, the joins and the filter): from WIDE_FILTER_WORDS words on, where
+the packed words fit in 64 bits, a list is wide, the read-only memoryview of
+one uint64 array, and it stays one through every filter pass until a pass
+leaves it shorter; any other list is a list of ints.  A view iterates as
+ints and tests true like a list, so the candidate loop and the dead-list
+test take both as they are.  The filter has one body per representation: a
+list comprehension, with no call per word, and one numpy pass over the
+array.  While the (up to three) anchors get their words, a list is the set
+of all words at given distances from the anchor words placed so far, so it
+can be built without the full symbol space: the low and the high half-words
+sit in buckets keyed by their vector of distances to those words, a new
+anchor word splits every bucket by distance (one filter pass per distance,
+up to the most a half-word can differ from it), which extends the key by
+one entry, and a vertex's list is the sorted union of lo | hi over the
+bucket pairs whose keys add up to its target vector (a meet-in-the-middle
+join, `_Shape.join`: word by word for a short list, one outer OR per bucket
+pair and one sort for a wide one).  A split depends only on
 the anchor words placed so far, so the shape memoises it for every graph.
 The root is the empty vector: one bucket per half.  Anchor nodes join,
 nodes below the anchors filter: an anchor node holds only its own list and
@@ -97,6 +104,7 @@ partition, which shares no code with the filter.
 
 import functools
 import multiprocessing
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -111,10 +119,12 @@ from .graphs import (Graph, automorphism_generators, bfs_distances, orbit_and_st
 from .spectral import lower_bound
 
 STEP_TABLE_WORDS = 1 << 16    # words each table of one shape keeps
-# The list length from which the filter runs in numpy: the first power of
-# two above the crossover timed with the list's conversion included, which
-# lies at 60-110 words at r = 2, below 80 at r = 3 and below 40 at r = 5.
-WIDE_FILTER_WORDS = 128
+# The list length from which a candidate list is wide, a uint64 array that
+# the filter tests in one numpy pass and the join builds by outer ORs.  Timed
+# with no conversion per pass, 64 beats 128 by the most on the r = 3 odd
+# cycles (32 by less, and 256 is slower) and leaves the r = 2 census and the
+# multipartite searches as they were (ROADMAP, aim 2).
+WIDE_FILTER_WORDS = 64
 
 
 def pack_word(word, r):
@@ -143,38 +153,60 @@ def unpack_word(packed, length, r):
     return "".join(chars)
 
 
+def _wide_from(length, r):
+    """The length from which a candidate list of shape (length, r) is wide:
+    WIDE_FILTER_WORDS where a packed word fits in 64 bits, never otherwise."""
+    fits = length * ((r - 1).bit_length() + 1) <= 64
+    return WIDE_FILTER_WORDS if fits else float("inf")
+
+
+def _as_list(a, wide_from):
+    """The uint64 array a as a candidate list: a list of ints below
+    wide_from words, and from there on the memoryview of a, made read-only
+    (lists are shared, never mutated).  Like a list, the view iterates as
+    ints and is true exactly when it is not empty."""
+    if len(a) < wide_from:
+        return a.tolist()
+    a.flags.writeable = False
+    return a.data
+
+
 def distance_filter(length, r):
     """The filter at(words, w, t): the words of `words` at distance t from w.
 
     A digit differs where some bitplane of c ^ w is set; the distance counts
     such positions where both care bits are set.  The words keep their
-    order, and all must be packed with this length and alphabet size.  The
-    filter has two bodies, chosen by the list's length:
+    order, and all must be packed with this length and alphabet size.
 
-      * below WIDE_FILTER_WORDS words, the test is written inline in one list
-        comprehension, so that no call is made per word.  One expression
-        per bitplane count: the four-shift one also serves three planes,
-        since a shift past the top plane gives 0;
-      * from WIDE_FILTER_WORDS words on, when a packed word fits in 64 bits,
-        the list becomes one uint64 array and the same test runs once over
-        the whole array.  Converting the list costs more than the test saves
-        on short lists.
+    Length alone decides a list's representation.  A list is wide from
+    `_wide_from(length, r)` words on, which is WIDE_FILTER_WORDS where a
+    packed word fits in 64 bits: a wide list is the read-only memoryview of
+    one uint64 array (`_as_list`), any other a list of ints.  The filter
+    has two bodies, one per representation:
+
+      * a list of ints is tested inline in one list comprehension, so that
+        no call is made per word.  One expression per bitplane count: the
+        four-shift one also serves three planes, since a shift past the top
+        plane gives 0;
+      * a wide list is tested once over its array, with no copy in, and the
+        result is wide or a list of ints by its own length.  An empty
+        result is [] in both.
     """
     care = (1 << length) - 1
     s1, s2, s3, s4 = (p * length for p in range(1, 5))
     planes = (r - 1).bit_length()
-    wide_from = WIDE_FILTER_WORDS if length * (planes + 1) <= 64 else float("inf")
+    wide_from = _wide_from(length, r)
     shifts = [np.uint64(p * length) for p in range(1, planes + 1)]
 
     def wide(words, w, t):
-        a = np.array(words, dtype=np.uint64)
+        a = words.obj                   # the uint64 array behind the view
         x = a ^ np.uint64(w)
         d = x >> shifts[0]
         for s in shifts[1:]:
             d |= x >> s
         d &= a
         d &= np.uint64(w & care)
-        return a[np.bitwise_count(d) == t].tolist()
+        return _as_list(a[np.bitwise_count(d) == t], wide_from)
 
     if planes == 1:
         def at(words, w, t):
@@ -274,12 +306,13 @@ def _enumerate_half(singles):
 class _Shape:
     """What every search at one word shape (length, r) shares: the filter,
     the lex-leader test, the root buckets and root words, the half-word care
-    masks and a memo of anchor splits.  Nothing here depends on a graph, and
+    masks, a memo of anchor splits and the join.  Nothing here depends on a graph, and
     nothing handed out is ever mutated, so searches of different graphs
     share it safely."""
 
     def __init__(self, length, r):
         self.at = distance_filter(length, r)
+        self.wide_from = wide = _wide_from(length, r)
         self.start, self.step = canonical_step(length, r)
         # single[p][d]: the word with digit d at position p and * elsewhere
         single = [
@@ -295,8 +328,11 @@ class _Shape:
         self.width = (2 * length + 1).bit_length()
         # Anchor buckets are (low, high, path): path holds the anchor words
         # placed so far, which fix the buckets.
-        self.root = ({0: _enumerate_half(single[: length // 2])},
-                     {0: _enumerate_half(single[length // 2:])}, ())
+        halves = _enumerate_half(single[: length // 2]), _enumerate_half(single[length // 2:])
+        self.root = tuple(
+            {0: _as_list(np.array(half, dtype=np.uint64), wide) if len(half) >= wide else half}
+            for half in halves
+        ) + ((),)
         self.splits = {}         # child path -> its (low, high, path)
         self.split_words = 0     # the words the split memo holds
 
@@ -326,6 +362,29 @@ class _Shape:
                 self.split_words += words
         return out
 
+    def join(self, lo, hi, g):
+        """The sorted candidate list of goal g: lo | hi over the pairs of
+        buckets whose keys add up to g.  A list below `wide_from` words is
+        ORed word by word; a wide one takes one outer OR per bucket pair
+        and one sort.  A pair with a wide bucket gives a wide list, since
+        no bucket is empty, so the word-by-word route sees lists of ints
+        only."""
+        pairs = [(a, b) for k, a in lo.items() if (b := hi.get(g - k))]
+        words = 0
+        for a, b in pairs:
+            words += len(a) * len(b)
+        if words < self.wide_from:
+            out = [x | y for a, b in pairs for y in b for x in a]
+            out.sort()
+            return out
+        out = np.concatenate([
+            np.bitwise_or.outer(np.asarray(a, dtype=np.uint64),
+                                np.asarray(b, dtype=np.uint64)).ravel()
+            for a, b in pairs
+        ])
+        out.sort()
+        return _as_list(out, self.wide_from)
+
 
 @functools.lru_cache(maxsize=64)
 def _shape(length, r):
@@ -333,12 +392,28 @@ def _shape(length, r):
     return _Shape(length, r)
 
 
+def _as_int(x, message):
+    """x as a Python int (operator.index: ints, bools and numpy integers),
+    or ValueError(message)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(message) from None
+
+
 def _check_limits(r, node_limit):
-    """Raise ValueError on a bad alphabet size or a negative node limit."""
+    """r and node_limit as Python ints, or ValueError on a bad alphabet size
+    or a negative or non-integer node limit."""
+    message = f"alphabet size must be in [2, {MAX_ALPHABET}], got {r}"
+    r = _as_int(r, message)
     if not 2 <= r <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {r}")
-    if node_limit is not None and node_limit < 0:
-        raise ValueError(f"node limit must be >= 0, got {node_limit}")
+        raise ValueError(message)
+    if node_limit is not None:
+        message = f"node limit must be >= 0, got {node_limit}"
+        node_limit = _as_int(node_limit, message)
+        if node_limit < 0:
+            raise ValueError(message)
+    return r, node_limit
 
 
 @dataclass
@@ -348,7 +423,8 @@ class SearchConfig:
     `first_vertices`, when set, are the anchors, the vertices that get their
     words first, in order: one to three distinct vertices of the graph, or
     ValueError.  Unset, the search picks a diametral pair and the vertex
-    farthest from both."""
+    farthest from both.  `r`, `node_limit` and the vertices are stored as
+    Python ints; any other non-integer raises ValueError."""
     graph: Graph
     r: int = 2
     node_limit: Optional[int] = None
@@ -356,14 +432,19 @@ class SearchConfig:
     first_vertices: Optional[tuple] = None
 
     def __post_init__(self):
-        _check_limits(self.r, self.node_limit)
+        self.r, self.node_limit = _check_limits(self.r, self.node_limit)
         chosen = self.first_vertices
-        if chosen is not None and not (
-            1 <= len(chosen) <= 3 and len(set(chosen)) == len(chosen)
-            and all(0 <= v < self.graph.n for v in chosen)
-        ):
-            raise ValueError(f"first_vertices must be 1 to 3 distinct vertices "
-                             f"in [0, {self.graph.n}), got {chosen}")
+        if chosen is not None:
+            message = (f"first_vertices must be 1 to 3 distinct vertices "
+                       f"in [0, {self.graph.n}), got {chosen}")
+            try:
+                chosen = tuple(map(operator.index, chosen))
+            except TypeError:
+                raise ValueError(message) from None
+            if not (1 <= len(chosen) <= 3 and len(set(chosen)) == len(chosen)
+                    and all(0 <= v < self.graph.n for v in chosen)):
+                raise ValueError(message)
+            self.first_vertices = chosen
 
 
 @dataclass
@@ -481,11 +562,6 @@ class _Searcher:
             others = anchors[d + 1:] + rest
             plan.append((others, {goal[d + 1][u] for u in others}))
 
-        def joined(lo, hi, g):
-            """The sorted words of goal g: lo | hi over the pairs of buckets
-            whose keys add up to g."""
-            return sorted([a | b for k in lo if g - k in hi for b in hi[g - k] for a in lo[k]])
-
         def join_children(cand, halves, depth):
             """The child's (lists, halves) once the anchor has cand; (None,
             None) if some vertex runs dry.
@@ -505,10 +581,10 @@ class _Searcher:
                 return None, None
             child = goal[depth + 1]
             if depth == last:
-                by_goal = {g: joined(lo, hi, g) for g in goals}
+                by_goal = {g: shape.join(lo, hi, g) for g in goals}
                 return {u: by_goal[child[u]] for u in others}, None
             nxt = anchors[depth + 1]
-            return {nxt: joined(lo, hi, child[nxt])}, below
+            return {nxt: shape.join(lo, hi, child[nxt])}, below
 
         def children(v, cand, lists):
             """Every other vertex's candidates once v has cand; None if one runs dry.
@@ -656,7 +732,7 @@ def census_distribution(lines, r=2, jobs=1, node_limit=None):
     alphabet size, node limit or job count raises ValueError before any line
     is solved; `jobs=None` means one process per core.
     """
-    _check_limits(r, node_limit)
+    r, node_limit = _check_limits(r, node_limit)
     if jobs is not None and jobs < 1:
         raise ValueError(f"job count must be >= 1, got {jobs}")
     tasks = [

@@ -95,12 +95,31 @@ def test_packed_words_with_disjoint_positions_add_up(r):
         assert pa + pb == pa | pb == pack_word(merged, r), (a, b)
 
 
+def _candidate_list(words, length, r):
+    """words (packed ints) as the search represents a candidate list of
+    this shape: wide from search._wide_from words on, a list below."""
+    if len(words) >= search._wide_from(length, r):
+        return search._as_list(np.array(words, dtype=np.uint64), search._wide_from(length, r))
+    return list(words)
+
+
+def assert_candidate_list(out, length, r):
+    """The container rule: a read-only memoryview of a uint64 array exactly
+    when the list is wide, and a list of ints otherwise ([] when empty)."""
+    if len(out) >= search._wide_from(length, r):
+        assert type(out) is memoryview and out.readonly
+        assert out.obj.dtype == np.uint64 and len(out.obj) == len(out)
+    else:
+        assert type(out) is list and all(type(c) is int for c in out)
+
+
 @pytest.mark.parametrize("r", range(2, 11))
 def test_distance_filter_agrees_with_word_distance(r):
     # The filter has one expression per bitplane count, and a numpy body for
-    # lists of search.WIDE_FILTER_WORDS words or more whose packed words fit
-    # in 64 bits; it must keep exactly the words that the string definition
-    # puts at distance t, in their order, for every t from 0 to the length.
+    # wide lists, of search.WIDE_FILTER_WORDS words or more whose packed
+    # words fit in 64 bits; it must keep exactly the words that the string
+    # definition puts at distance t, in their order, for every t from 0 to
+    # the length, and hand them back wide exactly when the result is.
     # Short lists (60 words) take the expressions; long ones (320) take the
     # numpy body at lengths 5, 9 and the longest that fits, where the
     # all-top-digit word reaches the highest bit (bit 63 at r = 2, 5..8),
@@ -110,6 +129,8 @@ def test_distance_filter_agrees_with_word_distance(r):
     top = str(r - 1)
     fits = 64 // ((r - 1).bit_length() + 1)      # the longest length in 64 bits
     assert search.WIDE_FILTER_WORDS <= 320
+    assert search._wide_from(fits, r) == search.WIDE_FILTER_WORDS
+    assert search._wide_from(fits + 1, r) == float("inf")
     shapes = [(length, 60) for length in (1, 2, 5, 7, 13)]
     shapes += [(length, 320) for length in (5, 9, fits, fits + 1)]
     for length, size in shapes:
@@ -118,12 +139,45 @@ def test_distance_filter_agrees_with_word_distance(r):
         strings[::7] = ["*" * length] * len(strings[::7])
         strings[3::11] = [top * length] * len(strings[3::11])
         words = [pack_word(s, r) for s in strings]
+        candidates = _candidate_list(words, length, r)
         for s in strings[:12] + [top * length]:
             w = pack_word(s, r)
             dist = [word_distance(sc, s) for sc in strings]
             for t in range(length + 1):
                 assert at([], w, t) == []
-                assert at(words, w, t) == [c for c, d in zip(words, dist) if d == t]
+                out = at(candidates, w, t)
+                assert_candidate_list(out, length, r)
+                assert list(out) == [c for c, d in zip(words, dist) if d == t]
+
+
+@pytest.mark.parametrize("length, r", [(8, 3), (7, 2), (6, 4)])
+def test_join_agrees_with_the_pairwise_or(length, r):
+    # Random nonempty buckets of the shape's half-words, in the search's
+    # representation, on both sides of the wide threshold; goals whose keys
+    # are missing on one side or both give fewer pairs or none.  Both routes
+    # must run: a short join, a wide one that short pairs add up to and
+    # one of wide pairs alone.
+    rng = random.Random(20 * length + r)
+    shape = search._Shape(length, r)
+    wide = shape.wide_from
+    sizes = [1, 3, 40, wide]
+    halves = [sorted(c for words in half.values() for c in words) for half in shape.root[:2]]
+    seen = set()
+    for _ in range(40):
+        lo, hi = (
+            {k: _candidate_list(sorted(rng.sample(words, min(len(words), rng.choice(sizes)))),
+                                length, r)
+             for k in rng.sample(range(6), rng.randint(1, 4))}
+            for words in halves
+        )
+        for g in range(11):
+            out = shape.join(lo, hi, g)
+            assert_candidate_list(out, length, r)
+            assert list(out) == sorted(a | b for k in lo if g - k in hi
+                                       for a in lo[k] for b in hi[g - k])
+            seen.add((len(out) >= wide, any(len(lo[k]) * len(hi[g - k]) < wide
+                                            for k in lo if g - k in hi)))
+    assert seen >= {(False, True), (True, True), (True, False)}
 
 
 @pytest.mark.parametrize("r", range(2, 11))

@@ -2,6 +2,7 @@ import functools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import squashcube.addressing
@@ -155,6 +156,40 @@ def test_first_vertices_override():
     for first in [(0, 0, 1), (), (0, 1, 99), (0, 1, -1), (0, 1, 2, 3)]:
         with pytest.raises(ValueError):
             SearchConfig(graph=cycle_graph(5), first_vertices=first)
+
+
+@pytest.mark.parametrize("settings", [
+    {"first_vertices": (0, 1.0)}, {"first_vertices": (0.0,)}, {"first_vertices": ("0",)},
+    {"first_vertices": 0}, {"node_limit": 1.5}, {"node_limit": "7"}, {"r": 3.0}, {"r": None},
+], ids=str)
+def test_non_integer_settings_are_refused_before_any_search(monkeypatch, settings):
+    # Each used to get through and fail deep inside the search (a float
+    # anchor indexes a list, a string anchor is compared with ints) or, for
+    # a float node limit, to be used as it was.
+    def solve(cfg):
+        raise AssertionError("no graph may be solved")
+
+    monkeypatch.setattr(squashcube.search, "solve_N", solve)
+    message = {"first_vertices": "first_vertices must be", "node_limit": "node limit must be",
+               "r": "alphabet size must be"}[next(iter(settings))]
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(graph=cycle_graph(5), **settings)
+    if "first_vertices" not in settings:
+        with pytest.raises(ValueError, match=message):
+            census_distribution(["Bw"], **settings)
+
+
+def test_numpy_integer_settings_become_python_ints():
+    cfg = SearchConfig(graph=cycle_graph(7), r=np.int64(3), node_limit=np.uint32(10_000),
+                       first_vertices=[np.int64(3), np.uint8(0), True])
+    assert (cfg.r, cfg.node_limit, cfg.first_vertices) == (3, 10_000, (3, 0, 1))
+    assert all(type(x) is int for x in (cfg.r, cfg.node_limit, *cfg.first_vertices))
+    plain = SearchConfig(graph=cycle_graph(7), r=3, node_limit=10_000, first_vertices=(3, 0, 1))
+    res, ref = solve_N(cfg), solve_N(plain)
+    assert (res.value, res.nodes_explored, res.addressing.words) == (
+        ref.value, ref.nodes_explored, ref.addressing.words)
+    census = census_distribution(["Bw"], r=np.int64(2), node_limit=np.int16(50))
+    assert census.total == 1 and census.errors == []
 
 
 def test_the_solver_never_lists_the_automorphism_group(monkeypatch):
@@ -554,9 +589,9 @@ def test_anchor_split_buckets_each_word_by_its_distance(length, r):
             for parent, child in zip(halves[:2], (lo, hi)):
                 for key, words in child.items():
                     near = parent[key & (1 << shift) - 1]
-                    assert words == [c for c in near
-                                     if word_distance(unpack_word(c, length, r), w)
-                                     == key >> shift]
+                    assert list(words) == [c for c in near
+                                           if word_distance(unpack_word(c, length, r), w)
+                                           == key >> shift]
                 landed = Counter(c for words in child.values() for c in words)
                 assert landed == Counter(c for words in parent.values() for c in words)
             halves = lo, hi, path
@@ -578,6 +613,39 @@ def test_anchor_splits_memoised_by_a_search_equal_fresh_ones(g, r, monkeypatch):
         for w in path:
             halves = fresh.split(halves, w)
         assert halves == split
+
+
+@pytest.mark.parametrize("wide", [1, 1 << 30])
+def test_both_list_representations_give_the_same_searches(monkeypatch, wide):
+    # At WIDE_FILTER_WORDS = 1 every nonempty list at a 64-bit shape is a
+    # uint64 array (root buckets, splits, joins and filtered lists), and
+    # above any list's length none is; both must give the default search.
+    # The shapes are built afresh on each side and dropped after.
+    cases = [(cycle_graph(n), 3) for n in range(9, 14)]
+    cases += [(complete_multipartite([3, 3, 3]), r) for r in (2, 3)]
+    cases += [(petersen_graph(), r) for r in range(2, 6)]
+    cases += [(g, 2) for g in connected_graphs(6)]
+
+    def runs():
+        out = []
+        for g, r in cases:
+            res = solve_N(SearchConfig(graph=g, r=r))
+            out.append((res.value, res.nodes_explored, res.addressing.words))
+        return out
+
+    shape = squashcube.search._shape
+    shape.cache_clear()
+    try:
+        default = runs()
+        shape.cache_clear()
+        monkeypatch.setattr(squashcube.search, "WIDE_FILTER_WORDS", wide)
+        assert runs() == default
+        kinds = {type(words) for length, r in {(value, r) for (_, r), (value, _, _)
+                                               in zip(cases, default)}
+                 for half in shape(length, r).root[:2] for words in half.values()}
+        assert kinds == ({memoryview} if wide == 1 else {list})
+    finally:
+        shape.cache_clear()
 
 
 def test_census_n2():
