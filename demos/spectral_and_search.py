@@ -3,7 +3,7 @@
 
 The eigenvalue bound max(n+, n-/(r-1)) plus the log2 covering bound are
 computed exactly (fraction-free integer (Bareiss) congruence elimination, no
-floating point), then the exact solver closes each case with a verified
+floating point at these sizes), then the exact solver closes each case with a verified
 witness.  The Petersen graph is the classic near-miss: bound 5, optimum 6.
 """
 

@@ -200,7 +200,7 @@ def format_addressing(adr):
     return "\n".join(lines) + "\n"
 
 
-def _decimal(text):
+def parse_decimal(text):
     """The int that text writes in ASCII decimal digits, else ValueError.
     int() alone also takes signs, spaces and non-ASCII digits."""
     if not text or text.strip("0123456789"):
@@ -214,7 +214,7 @@ def parse_addressing(text):
         raise ValueError("empty addressing file")
     try:
         header = dict(item.split("=", 1) for item in lines[0].split())
-        r, length, n = _decimal(header["r"]), _decimal(header["len"]), _decimal(header["n"])
+        r, length, n = (parse_decimal(header[key]) for key in ("r", "len", "n"))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header line {lines[0]!r}: {exc}") from exc
     if len(lines) - 1 != n:
@@ -222,7 +222,7 @@ def parse_addressing(text):
     words = [None] * n
     for ln in lines[1:]:
         vid, word = ln.split("\t")
-        v = _decimal(vid)
+        v = parse_decimal(vid)
         if not 0 <= v < n or words[v] is not None:
             raise ValueError(f"bad or repeated vertex id {vid}")
         words[v] = word

@@ -14,6 +14,7 @@ from .addressing import (
     check_addressing,
     format_addressing,
     load_addressing,
+    parse_decimal,
     save_addressing,
     verify_addressing,
 )
@@ -49,6 +50,12 @@ EXIT_INTERNAL = 3
 EXIT_PRECONDITION = 4
 
 
+def integer(text):
+    """An argparse type: ASCII decimal digits after an optional '-'.
+    int() also takes non-ASCII digits such as '٣'."""
+    return -parse_decimal(text[1:]) if text.startswith("-") else parse_decimal(text)
+
+
 def parse_graph_spec(tokens):
     """Graph mini-language: johnson N K | cycle N | complete N |
     multipartite A,B,C | kam A M | petersen | graph6:FILE:LINE."""
@@ -57,22 +64,22 @@ def parse_graph_spec(tokens):
     head, args = tokens[0], tokens[1:]
     try:
         if head == "johnson" and len(args) == 2:
-            return johnson_graph(int(args[0]), int(args[1]))
+            return johnson_graph(parse_decimal(args[0]), parse_decimal(args[1]))
         if head == "cycle" and len(args) == 1:
-            return cycle_graph(int(args[0]))
+            return cycle_graph(parse_decimal(args[0]))
         if head == "complete" and len(args) == 1:
-            return complete_graph(int(args[0]))
+            return complete_graph(parse_decimal(args[0]))
         if head == "multipartite" and len(args) == 1:
-            return complete_multipartite([int(x) for x in args[0].split(",")])
+            return complete_multipartite([parse_decimal(x) for x in args[0].split(",")])
         if head == "kam" and len(args) == 2:
-            return kam_graph(int(args[0]), int(args[1]))
+            return kam_graph(parse_decimal(args[0]), parse_decimal(args[1]))
         if head == "petersen" and not args:
             return petersen_graph()
         if head.startswith("graph6:") and not args:
             _, path, lineno = head.split(":", 2)
             with open(path, "rb") as fh:
                 lines = fh.read().splitlines()
-            idx = int(lineno) - 1
+            idx = parse_decimal(lineno) - 1
             if not 0 <= idx < len(lines):
                 raise ValueError(f"{path} has no line {lineno}")
             return parse_graph6(lines[idx])
@@ -113,7 +120,7 @@ def cmd_address(args):
             return EXIT_BAD_INPUT
         return _emit_addressing(blow_up(base, args.a, args.m, args.s), args.output)
     if args.family == "plus3":
-        sizes = [int(x) for x in args.classes.split(",")]
+        sizes = [parse_decimal(x) for x in args.classes.split(",")]
         base = _load_base(args.base)
         adr = plus_three(base, sizes, args.grow_class, args.vertex)
         return _emit_addressing(adr, args.output)
@@ -200,21 +207,21 @@ def build_parser():
     pa = sub.add_parser("address", help="emit a constructed addressing")
     pa_sub = pa.add_subparsers(dest="family", required=True)
     pj = pa_sub.add_parser("johnson")
-    pj.add_argument("-n", type=int, required=True)
-    pj.add_argument("-k", type=int, required=True)
+    pj.add_argument("-n", type=integer, required=True)
+    pj.add_argument("-k", type=integer, required=True)
     pj.add_argument("--order", choices=["by-x", "by-y"], default="by-x")
     pj.add_argument("-o", "--output")
     pb = pa_sub.add_parser("blowup")
-    pb.add_argument("-a", type=int, required=True)
-    pb.add_argument("-m", type=int, required=True)
-    pb.add_argument("-s", type=int, required=True)
+    pb.add_argument("-a", type=integer, required=True)
+    pb.add_argument("-m", type=integer, required=True)
+    pb.add_argument("-s", type=integer, required=True)
     pb.add_argument("--base", help="base addressing file or fixture:<name>")
     pb.add_argument("-o", "--output")
     pp = pa_sub.add_parser("plus3")
     pp.add_argument("--base", required=True, help="addressing file or fixture:<name>")
     pp.add_argument("--classes", required=True, help="comma-separated class sizes")
-    pp.add_argument("--grow-class", type=int, default=0)
-    pp.add_argument("--vertex", type=int, default=0)
+    pp.add_argument("--grow-class", type=integer, default=0)
+    pp.add_argument("--vertex", type=integer, default=0)
     pp.add_argument("-o", "--output")
 
     pv = sub.add_parser("verify", help="check an addressing file against a graph")
@@ -223,27 +230,27 @@ def build_parser():
 
     pbnd = sub.add_parser("bound", help="lower bounds from the distance spectrum")
     pbnd.add_argument("graph", nargs="+")
-    pbnd.add_argument("--r", type=int, default=2)
+    pbnd.add_argument("--r", type=integer, default=2)
 
     ps = sub.add_parser("solve", help="exact minimum addressing length")
     ps.add_argument("graph", nargs="+")
-    ps.add_argument("--r", type=int, default=2)
-    ps.add_argument("--node-limit", type=int)
+    ps.add_argument("--r", type=integer, default=2)
+    ps.add_argument("--node-limit", type=integer)
     ps.add_argument("--certificate", action="store_true",
                     help="print the witness addressing")
     ps.add_argument("-o", "--output", help="write the witness addressing here")
 
     pc = sub.add_parser("census", help="distribution of N_r over a graph6 file")
     pc.add_argument("file")
-    pc.add_argument("--r", type=int, default=2)
-    pc.add_argument("--jobs", type=int, default=None)
-    pc.add_argument("--node-limit", type=int)
+    pc.add_argument("--r", type=integer, default=2)
+    pc.add_argument("--jobs", type=integer, default=None)
+    pc.add_argument("--node-limit", type=integer)
 
     pr = sub.add_parser("random-demo",
                         help="distance-multigraph partition of a random graph")
-    pr.add_argument("-n", type=int, default=64)
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--k", type=int, help="override the threshold k")
+    pr.add_argument("-n", type=integer, default=64)
+    pr.add_argument("--seed", type=integer, default=0)
+    pr.add_argument("--k", type=integer, help="override the threshold k")
 
     return p
 

@@ -6,9 +6,10 @@ pivot rule: a 1x1 pivot on the first nonzero diagonal entry.  When the
 remaining diagonal is all zero, the first nonzero off-diagonal entry
 d = M_pq is first moved onto the diagonal by the congruence "row p += row q,
 then column p += column q", which makes M_pp = 2d.  Congruence preserves
-inertia (Sylvester's law), so counting pivot signs is exact -- no floating
-point, no eigenvalues.  Distance matrices have zero diagonal, so that
-congruence is the first move, not a fallback.
+inertia (Sylvester's law), so counting pivot signs is exact.  Distance
+matrices have zero diagonal, so that congruence is the first move, not a
+fallback.  Where the elimination would go on in Python ints on a large
+matrix, a checked congruence (`_certified`, below) is tried first.
 
 With K the set of eliminated indices, the active matrix holds the bordered
 minors M_ij = det A[K+i, K+j] and D = det A[K, K] (signed; 1 while K is
@@ -38,6 +39,29 @@ small matrices and wide entries start there.  The int64 phase swaps each
 pivot to the last row and column so that the rest is a view; that changes
 the order in which later pivots are met, but not the inertia (Sylvester's
 law again).  No floating point is involved in either phase.
+
+Three routes, then: the int64 phase, the certificate and the rows.  When
+the int64 phase stops with at least NARROW_FROM rows left (dense matrices
+whose minors outgrow int64 after a few pivots), `_certified` works on the
+original n x n matrix A, B its largest |entry|.  Floats only propose: X is
+2^s times the eigenvectors of a float64 copy of A, rounded to integers.
+Integers decide: C = X^T (A X) is computed in int64 and accepted only when
+every row is strictly dominant, 2 |C_ii| > sum_j |C_ij|; the inertia is
+then the signs of C's diagonal.  s is the largest with n^3 B 2^(2s) < 2^62,
+and X is refused unless every |X_ij| <= 2^s, so every entry of A X and of C,
+and every row sum of |C|, stays below 2^62: the check itself is exact.
+Proof of the answer: for t in [0, 1], D + t (C - D), D the diagonal of C,
+is symmetric and strictly dominant, so by Gershgorin none of its
+eigenvalues is 0; they move continuously with t, so C has as many positive
+and negative eigenvalues as D.  C is then nonsingular, so det X != 0, and
+by Sylvester's law inertia(A) = inertia(C).  A singular A makes C singular,
+never dominant, so it is always declined.  On any failure (no dominance,
+LinAlgError from eigh, s < 1, which also rules out entries too large for
+float64, or an X beyond 2^s) the rows body goes on exactly as without the
+certificate, so a wrong or failed proposal can only decline, never change
+an answer.  Small matrices never reach it, and neither do matrices that
+the int64 phase finishes (low rank, as J(n,k)), where the eigh would be
+wasted.
 """
 
 import operator
@@ -95,9 +119,14 @@ def _as_int_matrix(matrix):
     return m
 
 
+def _largest(block):
+    """B, the largest |entry|, as a Python int."""
+    return max(int(block.max()), -int(block.min()))
+
+
 def _fits_narrow(block):
-    """8 B^2 < 2^63, with B the largest |entry|: one step cannot overflow int64."""
-    b = max(int(block.max()), -int(block.min()))
+    """8 B^2 < 2^63: one step cannot overflow int64."""
+    b = _largest(block)
     return 8 * b * b < 1 << 63
 
 
@@ -185,6 +214,30 @@ def _eliminate_rows(m, det, signs):
         det = a
 
 
+def _certified(m):
+    """The inertia of m from a checked congruence X^T m X, or None.
+
+    Floats only propose X; the int64 product decides, and a proposal that
+    is wrong, fails or has no budget to be checked in yields None.
+    """
+    s = (62 - (len(m) ** 3 * _largest(m)).bit_length()) // 2    # n^3 B 2^(2s) < 2^62
+    if s < 1:
+        return None
+    a = m.astype(np.int64, copy=False)
+    try:
+        x = np.rint(np.ldexp(np.linalg.eigh(a.astype(np.float64))[1], s))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(x).max() <= 1 << s:              # a NaN fails this too
+        return None
+    x = x.astype(np.int64)
+    c = x.T @ (a @ x)
+    d = c.diagonal()
+    if not np.all(2 * np.abs(d) > np.abs(c).sum(axis=1)):
+        return None
+    return Inertia(int(np.count_nonzero(d > 0)), 0, int(np.count_nonzero(d < 0)))
+
+
 def inertia(matrix):
     """Exact (n_plus, n_zero, n_minus) of a symmetric integer matrix.
 
@@ -192,8 +245,13 @@ def inertia(matrix):
     entry as Python ints: a float (integral or not), string or Fraction
     raises ValueError, as does a matrix that is not square or symmetric.
     """
+    m = _as_int_matrix(matrix)
     signs = [0, 0, 0]
-    rows, det = _eliminate_narrow(_as_int_matrix(matrix), 1, signs)
+    rows, det = _eliminate_narrow(m, 1, signs)
+    if len(rows) >= NARROW_FROM:
+        certified = _certified(m)
+        if certified is not None:
+            return certified
     _eliminate_rows(rows, det, signs)
     return Inertia(*signs)
 
@@ -213,8 +271,13 @@ class BoundReport:
 
 def lower_bound(dist, r=2):
     """Best known lower bound on N_r for the graph behind this distance matrix."""
+    message = f"alphabet size must be >= 2, got {r}"
+    try:
+        r = operator.index(r)
+    except TypeError:
+        raise ValueError(message) from None
     if r < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {r}")
+        raise ValueError(message)
     ine = inertia(dist)
     n = ine.dimension
     eigen_r2 = max(ine.n_plus, ine.n_minus)

@@ -259,3 +259,52 @@ def test_library_self_check_failure_exits_3(tmp_path, capsys, monkeypatch):
     path.write_bytes(b"\n".join(emit_graph6(g) for g in connected_graphs(4)) + b"\n")
     code, _, err = run(capsys, "census", str(path), "--jobs", "1")
     assert code == 3 and "internal error" in err
+
+
+@pytest.mark.parametrize("spec", [
+    ["cycle", "٧"],                          # Arabic-Indic 7
+    ["multipartite", "٣,3,3"],
+    ["johnson", "6", "３"],                   # fullwidth 3
+    ["kam", "3", "+3"],
+    ["complete", " 4"],
+])
+def test_graph_spec_numbers_are_ascii_decimal(capsys, spec):
+    # int() reads each of these; `bound cycle ٧` printed C7's bounds
+    for command in (["bound"], ["solve"], ["solve", "--r", "3"]):
+        code, out, err = run(capsys, *command, *spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad graph spec") and "not a decimal number" in err
+
+
+def test_graph6_line_number_is_ascii_decimal(tmp_path, capsys):
+    path = tmp_path / "c5.g6"
+    path.write_bytes(emit_graph6(connected_graphs(5)[0]) + b"\n")
+    code, out, _ = run(capsys, "bound", f"graph6:{path}:1")
+    assert code == 0
+    for line in ("١", "+1", "01x"):
+        code, out, err = run(capsys, "bound", f"graph6:{path}:{line}")
+        assert code == 2 and out == "" and "not a decimal number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["random-demo", "-n", "٦٤"],
+    ["random-demo", "-n", "64", "--seed", "٠"],
+    ["bound", "petersen", "--r", "٣"],
+    ["solve", "cycle", "5", "--node-limit", "١٠"],
+    ["census", "unused.g6", "--jobs", "٢"],
+    ["address", "johnson", "-n", "٥", "-k", "2"],
+    ["address", "blowup", "-a", "2", "-m", "2", "-s", "-٣"],
+    ["solve", "cycle", "5", "--r", "+3"],
+])
+def test_integer_options_are_ascii_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2 and "invalid integer value" in err
+
+
+def test_plus3_class_sizes_are_ascii_decimal(capsys):
+    base = ("address", "plus3", "--base", "fixture:multipartite/k_2_2_1", "--classes")
+    assert run(capsys, *base, "2,2,1")[0] == 0
+    code, out, err = run(capsys, *base, "٢,2,1")
+    assert code == 2 and out == "" and "not a decimal number" in err

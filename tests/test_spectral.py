@@ -10,6 +10,7 @@ from squashcube.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    emit_graph6,
     is_connected,
     kam_graph,
     path_graph,
@@ -190,6 +191,139 @@ def test_int64_phase_agrees_with_the_rows_body(monkeypatch):
     assert kinds == {"entry", "mid", "never"}
 
 
+def _rows_elimination(matrix):
+    """The rows body alone on matrix.tolist(): no int64 phase, no certificate."""
+    signs = [0, 0, 0]
+    spectral._eliminate_rows(np.asarray(matrix).tolist(), 1, signs)
+    return Inertia(*signs)
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """The results of every `_certified` call, in order."""
+    results = []
+    certify = spectral._certified
+
+    def recording(m):
+        results.append(certify(m))
+        return results[-1]
+
+    monkeypatch.setattr(spectral, "_certified", recording)
+    return results
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the calls of np.linalg.eigh, which answers as it does."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _dense_distances(n, seed):
+    g = random_graph(n, [seed, n])
+    assert is_connected(g)
+    return bfs_distances(g)
+
+
+@pytest.mark.parametrize("seed", [0, 9001])
+def test_certificate_agrees_with_the_rows_elimination_on_dense_graphs(certificates, seed):
+    # From 64 rows the int64 phase stops with at least NARROW_FROM rows left,
+    # and the congruence is certified; below that it is never tried.
+    for n in (20, 24, 32, 64, 128):
+        d = _dense_distances(n, seed)
+        certificates.clear()
+        assert inertia(d) == _rows_elimination(d), n
+        if n >= 64:
+            assert certificates == [_rows_elimination(d)], n
+        else:
+            assert certificates == [], n
+
+
+def test_certificate_agrees_with_the_rows_elimination_on_random_matrices(certificates):
+    # Entries in [-3, 3]: minors pass the int64 guard after about ten pivots.
+    # The singular modes (low rank, a repeated row) must be declined.
+    rng = np.random.default_rng(33)
+    for trial in range(30):
+        n = int(rng.integers(32, 91))
+        a = _random_symmetric(rng, n, trial % 5)
+        want = _rows_elimination(a)
+        before = len(certificates)
+        assert inertia(a) == inertia(a.tolist()) == want, (trial % 5, n)
+        if want.n_zero:
+            assert not any(certificates[before:]), (trial % 5, n)
+    assert None in certificates and any(certificates)
+
+
+def _orthogonal(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def _raise_lin_alg_error(a):
+    raise np.linalg.LinAlgError("eigh did not converge")
+
+
+@pytest.mark.parametrize("proposal", [
+    lambda a, rng: (np.ones(len(a)), np.eye(len(a))),
+    lambda a, rng: (np.ones(len(a)), _orthogonal(len(a), rng)),
+    lambda a, rng: (np.ones(len(a)), 4 * _orthogonal(len(a), rng)),
+    lambda a, rng: (np.ones(len(a)), np.full((len(a), len(a)), np.nan)),
+    lambda a, rng: _raise_lin_alg_error(a),
+], ids=["identity", "random-orthogonal", "beyond-the-budget", "nan", "lin-alg-error"])
+def test_a_wrong_or_failed_proposal_only_declines(monkeypatch, certificates, proposal):
+    # A wrong X is declined by the integer check, an X beyond 2^s (whose
+    # product could overflow int64) or a failed eigh before it; the rows
+    # body then gives the same answer as ever.
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: proposal(a, rng))
+    for n, seed in ((64, 0), (128, 9001)):
+        d = _dense_distances(n, seed)
+        certificates.clear()
+        assert inertia(d) == _rows_elimination(d)
+        assert certificates == [None]
+
+
+def test_a_singular_dense_matrix_is_declined(certificates):
+    # Vertex 0's row and column repeated: one zero eigenvalue, which no
+    # nonsingular X^T A X can show.
+    d = _dense_distances(64, 0)
+    keep = list(range(64)) + [0]
+    a = d[np.ix_(keep, keep)]
+    ine = inertia(a)
+    assert certificates == [None]
+    assert ine.n_zero == 1 and ine == _rows_elimination(a)
+
+
+@pytest.mark.parametrize("scale", [1 << 50, 1 << 70])
+def test_entries_beyond_the_budget_make_no_attempt(certificates, eigh_calls, scale):
+    # The rows body starts on the whole matrix (entries past the int64 guard),
+    # and s < 1, so no eigenvector is proposed.
+    a = _dense_distances(64, 0).astype(object)
+    a[0, 1] = a[1, 0] = scale
+    assert inertia(a) == _rows_elimination(a)
+    assert certificates == [None] and eigh_calls == []
+
+
+def test_small_matrices_never_propose(eigh_calls):
+    from squashcube.graphs import connected_graphs
+    from squashcube.search import SearchConfig, census_distribution, solve_N
+
+    lines = [emit_graph6(g) for g in connected_graphs(6)]
+    res = census_distribution(lines, jobs=1)
+    assert sum(sum(c.values()) for c in res.by_n.values()) == 112
+    for g, r in ((petersen_graph(), 2), (cycle_graph(15), 3),
+                 (complete_multipartite([3, 3, 3]), 2)):
+        assert solve_N(SearchConfig(graph=g, r=r)).value is not None
+    assert eigh_calls == []
+
+
 def test_inertia_at_scale():
     from squashcube.graphs import johnson_graph
 
@@ -345,6 +479,22 @@ def test_log2_bound_is_the_least_b_with_2_to_the_b_at_least_n():
 def test_lower_bound_rejects_bad_r():
     with pytest.raises(ValueError):
         lower_bound(bfs_distances(complete_graph(3)), 1)
+
+
+@pytest.mark.parametrize("r", [2.5, 3.0, "3", None, True], ids=repr)
+def test_lower_bound_refuses_a_non_integer_alphabet(r):
+    # 2.5 used to give best == 4.0, a bound decided by a float, and "3" a
+    # TypeError from the comparison
+    with pytest.raises(ValueError, match="^alphabet size must be >= 2, got "):
+        lower_bound(bfs_distances(cycle_graph(7)), r)
+
+
+def test_lower_bound_reads_a_numpy_alphabet_as_a_python_int():
+    d = bfs_distances(petersen_graph())
+    rep = lower_bound(d, np.int64(3))
+    assert rep == lower_bound(d, 3)
+    fields = (rep.n, rep.r, rep.eigen_bound_r2, rep.eigen_bound_r, rep.log2_bound, rep.best)
+    assert all(type(x) is int for x in fields), [type(x) for x in fields]
 
 
 def test_eigensharp_path():
